@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--bound", type=int, default=None)
     p_pr.add_argument("--retries", type=int, default=None)
     p_pr.add_argument("--precision", type=int, default=None,
-                      help="series precision override (default 2*MV)")
+                      help="series precision cap (default 2*MV)")
     p_pr.add_argument("--lambda", dest="lam", default=None,
                       help="pin the separating form, e.g. X5=1")
     p_pr.add_argument("--mu", default=None, help="pin the projection form, e.g. X3=1")

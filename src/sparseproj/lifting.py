@@ -16,6 +16,13 @@ Every step asserts the residual of the previous one (each system polynomial
 composed with the current parametrization vanishes modulo q through the
 trusted degree) and the separating-form consistency sum lambda_j w_j = Y.
 
+A lift may stop at any precision and resume from the LiftedResolution it
+returned; the doubling schedule, and so every series coefficient, is the same
+as in one uninterrupted call.  The projection driver lifts this way one
+doubling at a time and stops at the first precision whose reconstruction it
+can certify, so the target precision it passes on the last call,
+2 * MV(S, Delta^(t)), is only a cap.
+
 Two cost facts shape the implementation: components below the trusted degree
 are exactly zero in all residuals, so the sparse component dicts skip that
 work automatically; and the Jacobian inverse is only ever needed through
@@ -197,8 +204,8 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
     return out
 
 
-def newton_hensel_lift(system, base, xi, kappa: int,
-                       *, check: bool = True) -> LiftedResolution:
+def newton_hensel_lift(system, base, xi, kappa: int, *, check: bool = True,
+                       final_check: bool = True) -> LiftedResolution:
     """Lift a fiber resolution to truncated-series coefficients of order kappa.
 
     ``system``: m polynomials in t+m variables (free variables first);
@@ -206,6 +213,11 @@ def newton_hensel_lift(system, base, xi, kappa: int,
     lifted resolution to resume from a lower precision; ``xi``: the
     expansion point (length t).  Raises SingularJacobian when the Jacobian
     is not invertible modulo q at xi, LiftingError on precondition failures.
+
+    ``final_check=False`` skips the closing residual evaluation (only done
+    when ``check`` is set): a caller that resumes the lift from the result
+    gets the same assertion from the first step of the next call, which
+    evaluates that residual anyway.
     """
     xi = tuple(rat(x) for x in xi)
     t = len(xi)
@@ -277,7 +289,7 @@ def newton_hensel_lift(system, base, xi, kappa: int,
             _assert_lambda_consistency(w, lam, q, t, ring)
 
     lifted = LiftedResolution(lam, q, w, ring)
-    if check and kappa > 0:
+    if check and final_check and kappa > 0:
         bound = evaluator.bind(ring, w, q)
         gvec = [bound.eval_poly(g) for g in evaluator.system]
         _assert_valuation(gvec, kappa, "final residual")

@@ -6,7 +6,12 @@ exact homogeneous linear system in the unknown denominator coefficients,
 trying denominator total degrees 0, 1, ... so the returned approximant has
 the minimal denominator degree.  Both return the fraction rewritten in the
 original (un-shifted) variables in canonical form, and both verify the
-residual p - q*s through degree 2d before returning.
+residual p - q*s through the series precision, at least 2d, before
+returning: the terms above degree 2d are not used to find the approximant,
+so they test it for free.  ``pade(...,
+shifted=True)`` stops before that rewrite and returns the numerator and
+denominator in the shifted variables Z, which is all a caller needs to
+evaluate the fraction at a point, and costs no gcd.
 """
 
 from __future__ import annotations
@@ -48,18 +53,26 @@ def _unshift(p: SparsePoly, shift) -> SparsePoly:
     return out
 
 
+def shifted_to_ratfun(num_z: SparsePoly, den_z: SparsePoly, shift) -> RatFun:
+    """The canonical fraction num_z/den_z rewritten in the original variables."""
+    return ratfun_normalize(_unshift(num_z, shift), _unshift(den_z, shift))
+
+
 def pade_univariate(s: TruncSeries, degree_bound: int) -> RatFun:
     """Pade approximant of a 1-variable series, degrees bounded by d."""
+    return shifted_to_ratfun(*_pade_univariate_z(s, degree_bound), s.shift)
+
+
+def _pade_univariate_z(s: TruncSeries, degree_bound: int):
     d = int(degree_bound)
     if s.ring.nvars != 1:
         raise ValueError("univariate reconstruction needs a 1-variable series")
     if s.prec < 2 * d:
         raise ValueError(f"precision {s.prec} below 2*degree_bound {2 * d}")
-    coeffs = [s.comps[k].get((k,), RAT_ZERO) for k in range(2 * d + 1)]
-    series_poly = UniPoly(coeffs)
+    coeffs = [s.comps[k].get((k,), RAT_ZERO) for k in range(s.prec + 1)]
 
     r0 = UniPoly.y_power(2 * d + 1, RAT_ONE)
-    r1 = series_poly
+    r1 = UniPoly(coeffs[: 2 * d + 1])
     t0, t1 = UniPoly.zero(), UniPoly.const(RAT_ONE)
     while r1.degree() > d:
         quo, rem = upoly_divrem(r0, r1)
@@ -68,14 +81,13 @@ def pade_univariate(s: TruncSeries, degree_bound: int) -> RatFun:
     num_z, den_z = r1, t1
     if den_z.is_zero() or not den_z[0]:
         raise NoValidApproximant("no valid approximant (denominator vanishes at the shift)")
-    # residual: den*s - num must vanish through degree 2d
-    check = den_z * series_poly - num_z
-    if any(check[k] for k in range(2 * d + 1)):
-        raise NoValidApproximant("residual does not vanish through degree 2d")
+    # residual: den*s - num must vanish through the series precision
+    check = den_z * UniPoly(coeffs) - num_z
+    if any(check[k] for k in range(s.prec + 1)):
+        raise NoValidApproximant("residual does not vanish through the series precision")
 
-    num_p = SparsePoly(1, {(k,): c for k, c in enumerate(num_z.coeffs)})
-    den_p = SparsePoly(1, {(k,): c for k, c in enumerate(den_z.coeffs)})
-    return ratfun_normalize(_unshift(num_p, s.shift), _unshift(den_p, s.shift))
+    return (SparsePoly(1, {(k,): c for k, c in enumerate(num_z.coeffs)}),
+            SparsePoly(1, {(k,): c for k, c in enumerate(den_z.coeffs)}))
 
 
 def _series_coeff_table(s: TruncSeries, through: int) -> dict:
@@ -99,12 +111,16 @@ def _monomials(nvars: int, max_deg: int):
 
 def pade_multivariate(s: TruncSeries, degree_bound: int) -> RatFun:
     """Minimal-denominator rational reconstruction of a t-variable series."""
+    return shifted_to_ratfun(*_pade_multivariate_z(s, degree_bound), s.shift)
+
+
+def _pade_multivariate_z(s: TruncSeries, degree_bound: int):
     d = int(degree_bound)
     t = s.ring.nvars
     if s.prec < 2 * d:
         raise ValueError(f"precision {s.prec} below 2*degree_bound {2 * d}")
     sc = _series_coeff_table(s, 2 * d)
-    s_terms = {e: c for e, c in sc.items()}
+    s_terms = _series_coeff_table(s, s.prec)
     targets = [e for e in _monomials(t, 2 * d) if d < sum(e)]
     const = (0,) * t
     for e_den in range(d + 1):
@@ -121,16 +137,23 @@ def pade_multivariate(s: TruncSeries, degree_bound: int) -> RatFun:
             if vec[const_idx]:
                 den_terms = {u: rat(c) for u, c in zip(unknowns, vec) if c}
                 den_z = SparsePoly(t, den_terms)
-                full = poly_mul_trunc(den_z.terms, s_terms, 2 * d)
+                full = poly_mul_trunc(den_z.terms, s_terms, s.prec)
                 if any(sum(e) > d for e in full):
-                    raise AssertionError("residual does not vanish through degree 2d")
-                num_z = SparsePoly(t, full, _clean=True)
-                return ratfun_normalize(_unshift(num_z, s.shift), _unshift(den_z, s.shift))
+                    raise NoValidApproximant(
+                        "residual does not vanish through the series precision")
+                return SparsePoly(t, full, _clean=True), den_z
     raise NoValidApproximant("no valid approximant within the degree bound")
 
 
-def pade(s: TruncSeries, degree_bound: int) -> RatFun:
-    """Dispatch on the number of series variables."""
+def pade(s: TruncSeries, degree_bound: int, *, shifted: bool = False):
+    """Dispatch on the number of series variables.
+
+    Returns the canonical RatFun in the original variables, or with
+    ``shifted=True`` the pair (numerator, denominator) in the shifted
+    variables, before unshifting and normalisation.
+    """
     if s.ring.nvars == 1:
-        return pade_univariate(s, degree_bound)
-    return pade_multivariate(s, degree_bound)
+        num_z, den_z = _pade_univariate_z(s, degree_bound)
+    else:
+        num_z, den_z = _pade_multivariate_z(s, degree_bound)
+    return (num_z, den_z) if shifted else shifted_to_ratfun(num_z, den_z, s.shift)

@@ -15,6 +15,7 @@ scale; a configurable cap (default 12) rejects larger ambient dimensions.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .rat import rat
@@ -298,9 +299,6 @@ def _sum_corners(a_pts, b_pts):
     return {tuple(x + y for x, y in zip(p, q)) for p in a_pts for q in b_pts}
 
 
-_mv_cache: dict = {}
-
-
 def mixed_volume(family: SupportFamily, dim_cap: int = DEFAULT_DIM_CAP) -> int:
     """Normalized mixed volume of a square family (MV of n simplices = 1)."""
     n = family.dim
@@ -313,11 +311,13 @@ def mixed_volume(family: SupportFamily, dim_cap: int = DEFAULT_DIM_CAP) -> int:
     normalized = tuple(sorted(
         (m.translate_to_origin().points for m in family.members),
         key=lambda s: sorted(s)))
-    key = (n, normalized)
-    hit = _mv_cache.get(key)
-    if hit is not None:
-        return hit
+    return _mixed_volume_normalized(n, normalized)
 
+
+# Memoised per process on the translated supports; the size bound keeps a
+# long-running process from holding every family it ever saw.
+@lru_cache(maxsize=128)
+def _mixed_volume_normalized(n: int, normalized) -> int:
     # reduce every member to hull corners before summing
     members = [hull_volume_and_corners(pts)[1] for pts in normalized]
 
@@ -342,7 +342,6 @@ def mixed_volume(family: SupportFamily, dim_cap: int = DEFAULT_DIM_CAP) -> int:
     mv = total // fact
     if mv < 0:
         raise PolytopeError("negative mixed volume (internal error)")
-    _mv_cache[key] = mv
     return mv
 
 

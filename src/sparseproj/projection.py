@@ -7,6 +7,13 @@ specialized system (fiber solve, Newton-Hensel lift, rational
 reconstruction), and finally the projection step that rewrites the
 resolution in terms of a separating form mu on the projected coordinates.
 
+The lift doubles its precision one step at a time.  After each step below
+the cap 2 * MV(S, Delta^(t)) the series are reconstructed at degree bound
+floor(prec / 2), and the first reconstruction that passes an exact
+certificate over Q(X_free) is returned (see ``_certified_early``).  When no
+step below the cap passes, the lift runs to the cap, reconstructs at the
+full degree bound and is audited, as the bound guarantees.
+
 All random draws come from one seeded generator and are recorded in the
 result's provenance; any detected failure (non-separating lambda, singular
 Jacobian, reconstruction failure, non-primitive mu) triggers a fresh draw of
@@ -21,11 +28,11 @@ import random
 from .lifting import LiftingError, SingularJacobian, newton_hensel_lift
 from .linalg import InconsistentSystem, matrix_rank, solve_consistent
 from .mpoly import SparsePoly
-from .pade import NoValidApproximant, pade
+from .pade import NoValidApproximant, pade, shifted_to_ratfun
 from .polytope import Support, SupportFamily, mixed_volume
 from .rat import RAT_ONE, rat
 from .ratfun import RatFun
-from .series import NonUnitSeries
+from .series import NonUnitSeries, TruncSeries
 from .supports import DegenerateFamily, VarOrder, family_dim_ok, trans_basis
 from .upoly import UniPoly, upoly_gcd, upoly_mod
 from .zerodim import (
@@ -158,40 +165,136 @@ def compose_parametric(g: SparsePoly, t: int, params: dict, q: UniPoly) -> UniPo
 # -- parametric toric resolution ----------------------------------------------
 
 
-def system_family(system) -> SupportFamily:
-    n = system[0].nvars
-    return SupportFamily([Support(n, p.support()) for p in system])
-
-
 def lift_precision(system, t: int) -> int:
     """Degree bound MV(S, Delta^(t)) for the coefficient fractions.
 
     This is the degree of the toric variety over the free variables, so
     numerators and denominators of the resolution coefficients stay below
     it and a series precision of twice the bound suffices to reconstruct.
+    The lift uses twice the bound as its cap: it stops earlier when a
+    reconstruction at a lower precision passes the exact certificate.
     """
     n = system[0].nvars
     members = [Support(n, p.support()) for p in system] + [Support.simplex(n)] * t
     return mixed_volume(SupportFamily(members))
 
 
+def _shifted_fractions(lifted, degree_bound: int, t: int):
+    """Pade fractions (num, den) in the shifted variables, for q and params."""
+    def fractions(upoly: UniPoly):
+        return [pade(c, degree_bound, shifted=True) if isinstance(c, TruncSeries)
+                else (SparsePoly.const(t, c), SparsePoly.const(t, 1))
+                for c in upoly.coeffs]
+
+    return fractions(lifted.q), {v: fractions(p) for v, p in lifted.params.items()}
+
+
+def _resolution_from_fractions(q_z, params_z: dict, shift, t: int,
+                               lam) -> GeometricResolution:
+    def rebuild(fractions) -> UniPoly:
+        return UniPoly([shifted_to_ratfun(num, den, shift) for num, den in fractions])
+
+    params = {v: rebuild(p) for v, p in params_z.items()}
+    return GeometricResolution(tuple(range(t)), tuple(sorted(params)), lam,
+                               rebuild(q_z), params)
+
+
 def _resolution_from_lift(lifted, degree_bound: int, t: int, lam) -> GeometricResolution:
     """Pade-reconstruct every series coefficient into a RatFun resolution."""
-    from .series import TruncSeries
+    q_z, params_z = _shifted_fractions(lifted, degree_bound, t)
+    return _resolution_from_fractions(q_z, params_z, lifted.ring.shift, t, lam)
 
-    def rebuild(upoly: UniPoly) -> UniPoly:
-        coeffs = []
-        for c in upoly.coeffs:
-            if isinstance(c, TruncSeries):
-                coeffs.append(pade(c, degree_bound))
-            else:
-                coeffs.append(RatFun.from_const(t, c))
-        return UniPoly(coeffs)
 
-    q = rebuild(lifted.q)
-    params = {v: rebuild(p) for v, p in lifted.params.items()}
-    dep_vars = tuple(sorted(lifted.params))
-    return GeometricResolution(tuple(range(t)), dep_vars, lam, q, params)
+def _separating_identity(q: UniPoly, params: dict, lam, t: int) -> bool:
+    """sum_j lam_j v_j = Y modulo q; params keyed t, t+1, ... as lam."""
+    one = _field_one(t)
+    acc = UniPoly.zero()
+    for j, c in enumerate(lam):
+        if c:
+            acc = acc + params[t + j].scale(_coeff_to_field(rat(c), t))
+    return not upoly_mod(acc - UniPoly.y_power(1, one), q)
+
+
+def _certificate_holds(res: GeometricResolution, system, t: int) -> bool:
+    """Exact over Q(X_free): (i) sum_j lam_j v_j = Y and (ii) membership, mod q."""
+    if not _separating_identity(res.q, res.params, res.lam, t):
+        return False
+    try:
+        audit_parametric(res, system, t)
+    except NonGenericInput:
+        return False
+    return True
+
+
+def _identities_at_point(q_z, params_z: dict, system, t: int, lam, shift) -> bool:
+    """Both certificate identities at one rational point, over Q.
+
+    They are identities modulo a monic q, so they survive specialization at
+    any point where no denominator vanishes: failing at the point proves the
+    candidate wrong, for the price of a few evaluations.  When none of the
+    trial points is regular, the decision is left to the exact certificate.
+    """
+    m = len(system)
+    for k in range(3):
+        z = tuple(rat(2 * k + i + 3, 7) for i in range(t))
+        try:
+            q0 = UniPoly([num.eval_all(z) / den.eval_all(z) for num, den in q_z])
+            v0 = {v - t: UniPoly([num.eval_all(z) / den.eval_all(z) for num, den in p])
+                  for v, p in params_z.items()}
+        except ZeroDivisionError:
+            continue
+        x = {i: shift[i] + z[i] for i in range(t)}
+        fiber = [g.eval_partial(x).reindex(list(range(t, t + m))) for g in system]
+        return (_separating_identity(q0, v0, lam, 0)
+                and not any(compose_parametric(g, 0, v0, q0) for g in fiber))
+    return True
+
+
+def _certified_early(lifted, system, t: int, degree_bound: int, lam):
+    """The reconstruction at ``degree_bound`` if it passes the certificate.
+
+    The certificate (``_certificate_holds``) is exact over Q(X_free):
+    (i) sum_j lam_j v_j = Y and (ii) the membership identity of
+    ``audit_parametric``, both modulo q.  The candidate's q is monic of the
+    fiber's degree, and every Pade denominator is nonzero at xi, so q(xi)
+    and v(xi) are the fiber resolution, whose roots are simple.  A candidate
+    that passes is then the resolution itself, by Hensel uniqueness at xi,
+    whatever the degree bound was.  Returns None when Pade finds no
+    approximant or a check fails.
+    """
+    try:
+        q_z, params_z = _shifted_fractions(lifted, degree_bound, t)
+    except NoValidApproximant:
+        return None
+    shift = lifted.ring.shift
+    if not _identities_at_point(q_z, params_z, system, t, lam, shift):
+        return None
+    res = _resolution_from_fractions(q_z, params_z, shift, t, lam)
+    return res if _certificate_holds(res, system, t) else None
+
+
+def _lift_and_reconstruct(system, base, xi, t: int, lam, kappa: int,
+                          degree_bound: int, check: bool) -> GeometricResolution:
+    """Lift one doubling at a time; return the first certified reconstruction.
+
+    Below the cap ``kappa`` every step tries Pade at degree bound
+    floor(prec / 2); at the cap the reconstruction uses ``degree_bound`` and
+    is audited when ``check`` is set.  Early results are always certified.
+    """
+    lifted, prec = base, 0
+    while True:
+        prec = min(2 * prec + 1, kappa)
+        lifted = newton_hensel_lift(system, lifted, xi, prec, check=check,
+                                    final_check=prec == kappa)
+        if prec == kappa:
+            break
+        res = _certified_early(lifted, system, t, min(prec // 2, degree_bound), lam)
+        if res is not None:
+            return res
+    res = _resolution_from_lift(lifted, degree_bound, t, lam)
+    if check:
+        audit_parametric(res, system, t)
+    return res
 
 
 def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
@@ -206,7 +309,9 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
     ``system``: m polynomials in t+m variables, free variables first; the
     free block must be algebraically independent modulo the saturated ideal
     (the driver guarantees this via the transcendence basis).  Retries draw
-    only the failing vector; pinned lambda/xi fail immediately.
+    only the failing vector; pinned lambda/xi fail immediately.  ``kappa``
+    (default 2 * degree_bound) caps the lift precision; the lift stops at the
+    first precision whose reconstruction passes the exact certificate.
     """
     system = list(system)
     m = len(system)
@@ -247,11 +352,8 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
             base = solve_toric_0d(specialized, cur_lam, check=check)
             if base.degree() == 0:
                 raise NonGenericInput("no toric roots over the sample point")
-            lifted = newton_hensel_lift(system, base, cur_xi, kappa, check=check)
-            res = _resolution_from_lift(lifted, degree_bound, t, cur_lam)
-            if check:
-                audit_parametric(res, system, t)
-            return res
+            return _lift_and_reconstruct(system, base, cur_xi, t, cur_lam, kappa,
+                                         degree_bound, check)
         except LambdaNotSeparating as exc:
             failures.append(str(exc))
             if lam_pinned:
@@ -371,24 +473,6 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu,
 
     return GeometricResolution(res.free_vars, projected_vars, mu, q_mu, params,
                                res.warnings)
-
-
-def audit_projection(proj: GeometricResolution, parent: GeometricResolution,
-                     projected_vars, mu) -> None:
-    """Exact identities q_mu(p_mu) = 0 and v_j(p_mu) = w_j modulo q_lambda."""
-    t = len(parent.free_vars)
-    q = parent.q
-    p_mu = UniPoly.zero()
-    for v, c in zip(projected_vars, mu):
-        if c:
-            p_mu = p_mu + parent.params[v].scale(_coeff_to_field(rat(c), t))
-    p_mu = upoly_mod(p_mu, q)
-    if _eval_at_upoly(proj.q, p_mu, q):
-        raise NonGenericInput("projected minimal polynomial does not annihilate mu")
-    for v in projected_vars:
-        diff = _eval_at_upoly(proj.params[v], p_mu, q) - parent.params[v]
-        if upoly_mod(diff, q):
-            raise NonGenericInput(f"projected parametrization for {v} diverges")
 
 
 def _eval_at_upoly(p: UniPoly, x: UniPoly, q: UniPoly) -> UniPoly:
@@ -532,11 +616,7 @@ def q_projection(problem: ProjectionProblem) -> ProjectionResult:
             raise ValueError("b entries must be nonzero")
     else:
         b = tuple(_draw_positive(rng, problem.bound) for _ in spec_vars)
-    lam = problem.lam
-    if lam is None:
-        lam = tuple(_draw_nonzero(rng, problem.bound) for _ in range(r))
     provenance["b"] = b
-    provenance["lambda"] = lam
 
     bindings = {v: rat(val) for v, val in zip(spec_vars, b)}
     frame_positions = list(order.to_original[: t + r])
@@ -554,9 +634,12 @@ def q_projection(problem: ProjectionProblem) -> ProjectionResult:
     provenance["degree_bound"] = mv
     provenance["precision"] = kappa
 
+    # lambda is drawn (and redrawn on failure) by the parametric step, right
+    # after b, unless the problem pins it
     parametric = parametric_toric_geomres(
-        specialized, t, lam, xi=problem.xi, kappa=kappa, degree_bound=mv,
+        specialized, t, problem.lam, xi=problem.xi, kappa=kappa, degree_bound=mv,
         rng=rng, bound=problem.bound, retry_limit=problem.retry_limit)
+    provenance["lambda"] = parametric.lam
 
     proj_frame = tuple(range(t, ell))
     mu_pinned = problem.mu is not None

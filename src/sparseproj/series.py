@@ -179,12 +179,6 @@ class TruncSeries:
             comps.append({})
         return TruncSeries(ring, comps, _clean=True)
 
-    def as_shifted_poly(self) -> SparsePoly:
-        terms = {}
-        for comp in self.comps:
-            terms.update(comp)
-        return SparsePoly(self.ring.nvars, terms)
-
     # -- arithmetic -------------------------------------------------------------
 
     def _coerce(self, other) -> "TruncSeries":

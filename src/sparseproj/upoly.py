@@ -168,10 +168,6 @@ def upoly_mod(a: UniPoly, b: UniPoly) -> UniPoly:
     return upoly_divrem(a, b)[1]
 
 
-def upoly_mulmod(a: UniPoly, b: UniPoly, q: UniPoly) -> UniPoly:
-    return upoly_mod(a * b, q)
-
-
 def upoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over a coefficient field; gcd(a, 0) = monic a."""
     if a.is_zero() and b.is_zero():

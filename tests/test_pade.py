@@ -79,6 +79,22 @@ def test_no_valid_approximant():
         pade_multivariate(ser, 1)
 
 
+def test_terms_above_2d_check_the_approximant():
+    # 1 + Z^3 at precision 3: the [1/1] approximant from 1, 0, 0 is 1, and
+    # the degree-3 term, unused to find it, shows that it is wrong
+    r = SeriesRing((0,), (0,), 3)
+    ser = r.from_shifted_poly(SparsePoly(1, {(0,): 1, (3,): 1}))
+    with pytest.raises(NoValidApproximant):
+        pade_univariate(ser, 1)
+    with pytest.raises(NoValidApproximant):
+        pade_multivariate(ser, 1)
+    # a true fraction passes with any precision above 2d
+    num = SparsePoly(1, {(1,): 2, (0,): -1})
+    den = SparsePoly(1, {(1,): 1, (0,): 3})
+    ser = SeriesRing((0,), (2,), 7).expand_fraction(num, den)
+    assert pade_univariate(ser, 2) == pade_multivariate(ser, 2) == ratfun_normalize(num, den)
+
+
 def test_precision_precondition():
     r = SeriesRing((0,), (0,), 3)
     with pytest.raises(ValueError):
@@ -103,3 +119,18 @@ def test_roundtrip_random(rng):
         got = pade(ser, d)
         assert got == ratfun_normalize(num, den)
         done += 1
+
+
+def test_bad_nullspace_vector_is_no_valid_approximant(monkeypatch):
+    # a denominator whose residual survives above degree d is a typed failure,
+    # which the projection driver treats as "try the next precision"
+    import sys
+
+    pade_module = sys.modules["sparseproj.pade"]
+    monkeypatch.setattr(pade_module, "nullspace",
+                        lambda rows, ncols: [[1] + [0] * (ncols - 1)])
+    r = SeriesRing((0, 1), (0, 0), 2)
+    den = SparsePoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1})
+    ser = r.expand_poly(den).inverse()
+    with pytest.raises(NoValidApproximant, match="residual"):
+        pade_multivariate(ser, 1)

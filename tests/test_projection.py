@@ -1,12 +1,18 @@
+import itertools
+import random
+
 import pytest
 
-from conftest import threevar_system, fivevar_specialized, fivevar_system
+import sparseproj.projection as projection
+from conftest import threevar_fiber, threevar_system, fivevar_specialized, fivevar_system
+from sparseproj.lifting import newton_hensel_lift
 from sparseproj.mpoly import SparsePoly
 from sparseproj.projection import (
     GenericityFailure,
     MuNotPrimitive,
     ProjectionProblem,
     geom_res_proj,
+    lift_precision,
     parametric_toric_geomres,
     q_projection,
     verify_resolution,
@@ -14,7 +20,7 @@ from sparseproj.projection import (
 from sparseproj.rat import rat
 from sparseproj.ratfun import RatFun, ratfun_normalize
 from sparseproj.upoly import UniPoly
-from sparseproj.zerodim import GeometricResolution
+from sparseproj.zerodim import GeometricResolution, solve_toric_0d
 
 
 def F1(num_terms, den_terms=None):
@@ -182,3 +188,170 @@ def test_probabilistic_rank_agrees(res5):
     fast = geom_res_proj(res5, (2,), (1,), probabilistic_rank=True)
     assert fast.q == exact.q
     assert fast.params == exact.params
+
+
+# -- early termination of the lift ------------------------------------------------
+
+
+def _record_lift_targets(monkeypatch):
+    """Wrap the lift the driver calls; returns the list of target precisions."""
+    targets = []
+    real = projection.newton_hensel_lift
+
+    def recording(system, base, xi, kappa, **kwargs):
+        targets.append(kappa)
+        return real(system, base, xi, kappa, **kwargs)
+
+    monkeypatch.setattr(projection, "newton_hensel_lift", recording)
+    return targets
+
+
+def _full_precision(system, t, lam, xi):
+    """The full-precision reference: lift to 2*MV, reconstruct at the MV bound."""
+    mv = lift_precision(system, t)
+    m = len(system)
+    fiber = [g.eval_partial({i: rat(x) for i, x in enumerate(xi)}).reindex(
+        list(range(t, t + m))) for g in system]
+    lifted = newton_hensel_lift(system, solve_toric_0d(fiber, lam), xi, 2 * mv)
+    return projection._resolution_from_lift(lifted, mv, t, lam)
+
+
+def _small_curves(rng):
+    """Space curves: constant plus two monomials of exponents <= 2 each."""
+    monomials = [e for e in itertools.product(range(3), repeat=3) if any(e)]
+    while True:
+        polys = []
+        for _ in range(2):
+            terms = {(0, 0, 0): rat(rng.choice((-1, 1)) * rng.randint(1, 9))}
+            for e in rng.sample(monomials, 2):
+                terms[e] = rat(rng.choice((-1, 1)) * rng.randint(1, 9))
+            polys.append(SparsePoly(3, terms))
+        yield polys
+
+
+def test_threevar_stops_early_with_full_precision_result(monkeypatch):
+    targets = _record_lift_targets(monkeypatch)
+    res = parametric_toric_geomres(threevar_system(), 1, (0, 1), xi=(1,))
+    assert max(targets) < 2 * lift_precision(threevar_system(), 1) == 12
+    full = _full_precision(threevar_system(), 1, (0, 1), (1,))
+    assert res.q == full.q
+    assert res.params == full.params
+
+
+def test_small_curves_early_result_equals_full_precision(monkeypatch):
+    targets = _record_lift_targets(monkeypatch)
+    curves = _small_curves(random.Random(7))
+    compared = early = 0
+    while compared < 6:
+        system = next(curves)
+        mv = lift_precision(system, 1)
+        if not 1 <= mv <= 6:
+            continue
+        targets.clear()
+        try:
+            res = parametric_toric_geomres(system, 1, (1, 2), xi=(2,))
+        except ArithmeticError:
+            continue  # non-generic pins for this curve
+        full = _full_precision(system, 1, (1, 2), (2,))
+        assert res.q == full.q
+        assert res.params == full.params
+        compared += 1
+        early += max(targets) < 2 * mv
+    assert early >= 1
+
+
+def test_certificate_rejects_one_changed_coefficient(res3):
+    system = threevar_system()
+    assert projection._certificate_holds(res3, system, 1)
+    bad_v = dict(res3.params)
+    bad_v[1] = UniPoly([res3.params[1][0], res3.params[1][1] + rat(1, 3)])
+    assert not projection._certificate_holds(
+        GeometricResolution(res3.free_vars, res3.dep_vars, res3.lam, res3.q, bad_v),
+        system, 1)
+    bad_q = UniPoly([res3.q[0] + rat(1, 3), res3.q[1], res3.q[2]])
+    assert not projection._certificate_holds(
+        GeometricResolution(res3.free_vars, res3.dep_vars, res3.lam, bad_q, res3.params),
+        system, 1)
+
+
+def test_early_candidate_with_changed_series_is_rejected():
+    base = solve_toric_0d(threevar_fiber(), (0, 1))
+    lifted = newton_hensel_lift(threevar_system(), base, (1,), 7)
+    good = projection._certified_early(lifted, threevar_system(), 1, 3, (0, 1))
+    assert good is not None
+    q1 = lifted.q[1]
+    bumped = q1 + q1.ring.from_shifted_poly(SparsePoly(1, {(2,): 1}))
+    lifted.q = UniPoly([lifted.q[0], bumped, lifted.q[2]])
+    assert projection._certified_early(lifted, threevar_system(), 1, 3, (0, 1)) is None
+
+
+def _quartic_system():
+    """X2 = 1 + (X1 - 1)^4: around X1 = 1 its q and v look constant through
+    degree 3, so the Pade candidates at precisions 1 and 3 are wrong
+    constants that still match every series term they are given."""
+    return [SparsePoly(2, {(0, 1): 1, (4, 0): -1, (3, 0): 4, (2, 0): -6,
+                           (1, 0): 4, (0, 0): -2})]
+
+
+def _recording(monkeypatch, name):
+    verdicts = []
+    real = getattr(projection, name)
+
+    def recording(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(projection, name, recording)
+    return verdicts
+
+
+def test_point_filter_rejects_candidates_that_pass_pade(monkeypatch):
+    verdicts = _recording(monkeypatch, "_identities_at_point")
+    res = parametric_toric_geomres(_quartic_system(), 1, (1,), xi=(1,))
+    assert verdicts.count(False) == 2
+    full = _full_precision(_quartic_system(), 1, (1,), (1,))
+    assert res.q == full.q
+    assert res.params == full.params
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_exact_certificate_alone_rejects_wrong_candidates(monkeypatch, check):
+    # with the one-point filter waved through, the wrong early candidates
+    # must fall to the exact certificate, and the loop goes on to the right
+    # answer, whatever check says
+    monkeypatch.setattr(projection, "_identities_at_point", lambda *args: True)
+    verdicts = _recording(monkeypatch, "_certificate_holds")
+    res = parametric_toric_geomres(_quartic_system(), 1, (1,), xi=(1,), check=check)
+    assert verdicts == [False, False]
+    full = _full_precision(_quartic_system(), 1, (1,), (1,))
+    assert res.q == full.q
+    assert res.params == full.params
+
+
+def test_no_certified_step_falls_back_to_the_cap(monkeypatch, res3):
+    targets = _record_lift_targets(monkeypatch)
+    monkeypatch.setattr(projection, "_certified_early", lambda *args: None)
+    res = parametric_toric_geomres(threevar_system(), 1, (0, 1), xi=(1,))
+    assert targets == [1, 3, 7, 12]
+    assert res.q == res3.q
+    assert res.params == res3.params
+
+
+# -- lambda draws in the driver -----------------------------------------------------
+
+
+def test_unpinned_lambda_failure_does_not_blame_a_pin():
+    # f2 = -2*(X2 - 1)^2: the fiber has a double point, so no lambda separates
+    f1 = SparsePoly(3, {(0, 0, 0): 2, (1, 0, 0): 1, (2, 0, 1): 9})
+    f2 = SparsePoly(3, {(0, 0, 0): -2, (0, 1, 0): 4, (0, 2, 0): -2})
+    with pytest.raises(GenericityFailure) as info:
+        q_projection(ProjectionProblem([f1, f2], 2, seed=218546))
+    assert "pinned" not in str(info.value)
+    assert "after retries" in str(info.value)
+
+
+def test_provenance_lambda_is_the_parametric_lambda():
+    f1 = SparsePoly(3, {(0, 0, 0): 3, (1, 1, 0): -2, (0, 1, 1): 5})
+    f2 = SparsePoly(3, {(0, 0, 0): -1, (1, 0, 1): 4, (0, 2, 0): 7})
+    result = q_projection(ProjectionProblem([f1, f2], 2, seed=5))
+    assert result.provenance["lambda"] == result.parametric.lam
