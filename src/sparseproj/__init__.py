@@ -1,13 +1,17 @@
-"""Exact geometric resolutions of coordinate projections of sparse systems."""
+"""Exact geometric resolutions of coordinate projections of sparse systems.
 
-from .rat import Rat, rat
+The submodules ``rat`` and ``pade`` keep their module names here; their
+functions of the same names are imported from the submodules.
+"""
+
+from .rat import Rat
 from .mpoly import SparsePoly, mpoly_gcd
 from .ratfun import RatFun, ratfun_normalize
 from .upoly import UniPoly, upoly_divrem, upoly_gcd
 from .polytope import Support, SupportFamily, hull_volume, minkowski_sum, mixed_volume, mv_positive
 from .supports import gamma_decomposition, project_supports, trans_basis
 from .series import SeriesRing, TruncSeries
-from .pade import pade, pade_multivariate, pade_univariate
+from .pade import pade_multivariate, pade_univariate
 from .zerodim import GeometricResolution, count_toric_roots, solve_toric_0d
 from .lifting import LiftedResolution, newton_hensel_lift
 from .projection import (
@@ -23,11 +27,11 @@ from .formats import emit_resolution, parse_resolution, parse_system
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rat", "rat", "SparsePoly", "mpoly_gcd", "RatFun", "ratfun_normalize",
+    "Rat", "SparsePoly", "mpoly_gcd", "RatFun", "ratfun_normalize",
     "UniPoly", "upoly_divrem", "upoly_gcd",
     "Support", "SupportFamily", "hull_volume", "minkowski_sum", "mixed_volume",
     "mv_positive", "gamma_decomposition", "project_supports", "trans_basis",
-    "SeriesRing", "TruncSeries", "pade", "pade_multivariate", "pade_univariate",
+    "SeriesRing", "TruncSeries", "pade_multivariate", "pade_univariate",
     "GeometricResolution", "count_toric_roots", "solve_toric_0d",
     "LiftedResolution", "newton_hensel_lift",
     "ProjectionProblem", "ProjectionResult", "geom_res_proj",

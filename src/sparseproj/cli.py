@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 
 from .formats import ParseError, emit_resolution, parse_resolution, parse_system
@@ -31,7 +32,7 @@ from .rat import rat_str
 from .ratfun import RatFun
 from .supports import DegenerateFamily, VarOrder, gamma_decomposition, trans_basis
 from .upoly import UniPoly
-from .zerodim import LambdaNotSeparating, NonGenericInput, solve_toric_0d
+from .zerodim import LambdaNotSeparating, NonGenericInput, solve_separating, solve_toric_0d
 
 MATH_ERRORS = (GenericityFailure, MuNotPrimitive, DegenerateFamily, PolytopeError,
                NonGenericInput, LambdaNotSeparating, LiftingError,
@@ -197,33 +198,16 @@ def cmd_solve0d(args) -> int:
         lam = tuple(assign.get(i, 0) for i in range(n))
         res = solve_toric_0d(problem.system, lam)
     else:
-        import random
-
-        rng = random.Random(seed)
-        last = None
-        res = None
-        for _ in range(retries + 1):
-            lam = tuple(_draw_nonzero(rng, bound) for _ in range(n))
-            try:
-                res = solve_toric_0d(problem.system, lam)
-                break
-            except LambdaNotSeparating as exc:
-                last = exc
-        if res is None:
-            raise GenericityFailure(f"no separating form found: {last}")
+        try:
+            res = solve_separating(problem.system, random.Random(seed), bound, retries + 1)
+        except LambdaNotSeparating as exc:
+            raise GenericityFailure(f"no separating form found: {exc}") from exc
     print(f"deg {res.degree()}")
     print("lambda " + " ".join(str(c) for c in res.lam))
     print("q(Y) = " + render_upoly_y(res.q, ()))
     for v in res.dep_vars:
         print(f"X{v + 1} = " + render_upoly_y(res.params[v], ()))
     return 0
-
-
-def _draw_nonzero(rng, bound: int) -> int:
-    x = 0
-    while x == 0:
-        x = rng.randint(-bound, bound)
-    return x
 
 
 def _pin_from_assignments(problem: ProjectionProblem, lam, mu, b, xi):

@@ -1,7 +1,11 @@
 """Exact dense linear algebra over a field given by duck-typed elements.
 
 Entries need +, -, *, / and truthiness; Rat and RatFun both qualify.  Small
-dense systems only -- the package never builds large matrices.
+dense systems only -- the package never builds large matrices.  Two
+eliminations live here: ``gauss_echelon`` (with ``nullspace``) for the Pade
+systems, and ``KrylovEchelon``, the incremental one that both the fiber
+solve and the projection use for a minimal polynomial and the coordinates
+in its power basis.
 """
 
 from __future__ import annotations
@@ -41,29 +45,66 @@ def gauss_echelon(rows):
     return pivots
 
 
-def matrix_rank(rows) -> int:
-    work = [list(r) for r in rows]
-    return len(gauss_echelon(work))
+class KrylovEchelon:
+    """Incremental echelon form of vectors v_0, v_1, ... given one at a time.
 
+    Each row is the reduced part of one v_k, scaled to 1 at its pivot, and
+    keeps its expression as a combination of v_0..v_k.  ``add`` returns None
+    while the vectors stay independent; at the first dependency it returns
+    the coefficients c_0..c_{k-1} of v_k = sum c_i v_i, and the caller adds
+    no further vector.  For Krylov vectors 1, a, a^2, ... of a
+    multiplication map these give the minimal polynomial Y^k - sum c_i Y^i
+    of a.  ``solve`` writes any vector of the span in the same v_i.
 
-def solve_consistent(rows, rhs):
-    """Solve A x = b for rectangular consistent A; raises when inconsistent.
-
-    Free variables (if the solution space is positive-dimensional) are set
-    to zero, so the result is deterministic.
+    ``one`` is the unit of the entries' field (a Rat or a RatFun).
     """
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    work = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = gauss_echelon(work)
-    for row, col in pivots:
-        if col == ncols:
-            raise InconsistentSystem("inconsistent linear system")
-    sol = [0] * ncols
-    for row, col in pivots:
-        sol[col] = work[row][ncols]
-    return sol
+
+    def __init__(self, one):
+        self._one = one
+        self._zero = one - one
+        self._rows = []          # (pivot column, row, combination of the v_i)
+
+    def _reduce(self, vec):
+        """(residual, factors) with vec = sum factors_i * row_i + residual."""
+        vec = list(vec)
+        factors = []
+        for col, row, _ in self._rows:
+            f = vec[col]
+            factors.append(f)
+            if f:
+                vec = [a - f * b if b else a for a, b in zip(vec, row)]
+        return vec, factors
+
+    def _combine(self, factors):
+        """sum factors_i * row_i written in the v_j."""
+        out = [self._zero] * len(self._rows)
+        for f, (_, _, comb) in zip(factors, self._rows):
+            if f:
+                for j, c in enumerate(comb):
+                    if c:
+                        out[j] = out[j] + f * c
+        return out
+
+    def add(self, vec):
+        """None when vec is independent of the rows, else its relation."""
+        residual, factors = self._reduce(vec)
+        pivot = next((col for col, a in enumerate(residual) if a), None)
+        if pivot is None:
+            return self._combine(factors)
+        inv = self._one / residual[pivot]
+        comb = [-c * inv if c else c for c in self._combine(factors)] + [inv]
+        self._rows.append((pivot, [a * inv if a else a for a in residual], comb))
+        return None
+
+    def solve(self, rhs):
+        """Coefficients x with rhs = sum x_i v_i over the independent v_i.
+
+        Raises InconsistentSystem when rhs is outside their span.
+        """
+        residual, factors = self._reduce(rhs)
+        if any(residual):
+            raise InconsistentSystem("right-hand side outside the span")
+        return self._combine(factors)
 
 
 def nullspace(rows, ncols):

@@ -26,19 +26,22 @@ from __future__ import annotations
 import random
 
 from .lifting import LiftingError, SingularJacobian, newton_hensel_lift
-from .linalg import InconsistentSystem, matrix_rank, solve_consistent
+from .linalg import InconsistentSystem, KrylovEchelon
 from .mpoly import SparsePoly
 from .pade import NoValidApproximant, pade, shifted_to_ratfun
 from .polytope import Support, SupportFamily, mixed_volume
 from .rat import RAT_ONE, rat
 from .ratfun import RatFun
 from .series import NonUnitSeries, TruncSeries
-from .supports import DegenerateFamily, VarOrder, family_dim_ok, trans_basis
+from .supports import DegenerateFamily, VarOrder, family_dim_ok, project_supports, trans_basis
 from .upoly import UniPoly, upoly_gcd, upoly_mod
 from .zerodim import (
     GeometricResolution,
     LambdaNotSeparating,
     NonGenericInput,
+    compose_parametric,
+    draw_nonzero,
+    linear_form,
     solve_toric_0d,
 )
 
@@ -118,48 +121,12 @@ class ProjectionResult:
         return self.order.free_original
 
 
-def _draw_nonzero(rng, bound: int) -> int:
-    x = 0
-    while x == 0:
-        x = rng.randint(-bound, bound)
-    return x
-
-
 def _draw_positive(rng, bound: int) -> int:
     return rng.randint(1, bound)
 
 
 def _field_one(t: int):
     return RatFun.from_const(t, 1) if t else RAT_ONE
-
-
-def _coeff_to_field(c, t: int):
-    return RatFun.from_const(t, c) if t else c
-
-
-def compose_parametric(g: SparsePoly, t: int, params: dict, q: UniPoly) -> UniPoly:
-    """g(X_free, params(Y)) reduced mod q, over Q(X_free) (plain Q when t=0)."""
-    cache: dict = {}
-
-    def dep_power(v: int, k: int) -> UniPoly:
-        got = cache.get((v, k))
-        if got is None:
-            got = params[v] if k == 1 else upoly_mod(dep_power(v, k - 1) * params[v], q)
-            cache[(v, k)] = got
-        return got
-
-    acc = UniPoly.zero()
-    for e, c in g.terms.items():
-        if t:
-            scalar = RatFun.from_poly(SparsePoly.monomial(t, e[:t], c))
-        else:
-            scalar = c
-        term = UniPoly.const(scalar)
-        for j, k in enumerate(e[t:]):
-            if k:
-                term = upoly_mod(term * dep_power(t + j, k), q)
-        acc = acc + term
-    return upoly_mod(acc, q)
 
 
 # -- parametric toric resolution ----------------------------------------------
@@ -207,12 +174,8 @@ def _resolution_from_lift(lifted, degree_bound: int, t: int, lam) -> GeometricRe
 
 def _separating_identity(q: UniPoly, params: dict, lam, t: int) -> bool:
     """sum_j lam_j v_j = Y modulo q; params keyed t, t+1, ... as lam."""
-    one = _field_one(t)
-    acc = UniPoly.zero()
-    for j, c in enumerate(lam):
-        if c:
-            acc = acc + params[t + j].scale(_coeff_to_field(rat(c), t))
-    return not upoly_mod(acc - UniPoly.y_power(1, one), q)
+    acc = linear_form(params, range(t, t + len(lam)), lam, q, t)
+    return not upoly_mod(acc - UniPoly.y_power(1, _field_one(t)), q)
 
 
 def _certificate_holds(res: GeometricResolution, system, t: int) -> bool:
@@ -336,7 +299,7 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
 
     for _ in range(retry_limit + 1):
         if cur_lam is None:
-            cur_lam = tuple(_draw_nonzero(rng, bound) for _ in range(m))
+            cur_lam = draw_nonzero(rng, bound, m)
         if t == 0:
             return solve_toric_0d(system, cur_lam, check=check)
         if cur_xi is None:
@@ -381,18 +344,15 @@ def audit_parametric(res: GeometricResolution, system, t: int) -> None:
 # -- projection of a resolution ------------------------------------------------
 
 
-def geom_res_proj(res: GeometricResolution, projected_vars, mu,
-                  *, probabilistic_rank: bool = False) -> GeometricResolution:
+def geom_res_proj(res: GeometricResolution, projected_vars, mu) -> GeometricResolution:
     """Resolution of the projection onto (free vars + projected_vars).
 
     ``mu``: integer coefficients over ``projected_vars`` (a separating form
-    of the projected points).  Raises MuNotPrimitive when some projected
-    coordinate is not a polynomial in mu (rank defect in the linear solves).
-
-    The power-matrix rank is computed exactly over the coefficient field by
-    default; ``probabilistic_rank=True`` instead evaluates the columns at a
-    random rational point first (the cheaper variant -- a wrong guess is
-    still caught by the exact linear solves and the final verification).
+    of the projected points).  The Krylov vectors 1, p_mu, p_mu^2, ... of
+    p_mu = sum mu_j v_j in K[Y]/q go through one incremental elimination:
+    the first dependent power gives q_mu, and every projected coordinate is
+    solved against the same elimination in the power basis of p_mu.  Raises
+    MuNotPrimitive when some projected coordinate is not a polynomial in mu.
     """
     projected_vars = tuple(projected_vars)
     mu = tuple(int(c) for c in mu)
@@ -411,68 +371,32 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu,
     if D == 0:
         return GeometricResolution(res.free_vars, projected_vars, mu,
                                    UniPoly.const(one),
-                                   {v: UniPoly.zero() for v in projected_vars},
-                                   res.warnings)
+                                   {v: UniPoly.zero() for v in projected_vars})
 
-    p_mu = UniPoly.zero()
-    for v, c in zip(projected_vars, mu):
-        if c:
-            p_mu = p_mu + res.params[v].scale(_coeff_to_field(rat(c), t))
-    p_mu = upoly_mod(p_mu, q)
+    p_mu = linear_form(res.params, projected_vars, mu, q, t)
+    zero = one - one
 
     def vec(p: UniPoly):
-        return [p[k] if p[k] else one - one for k in range(D)]
+        return [p[k] if p[k] else zero for k in range(D)]
 
-    colvec = vec
-    if probabilistic_rank and t:
-        # denominators of all power columns divide products of those of q and
-        # p_mu, so a point that is regular for these is regular throughout
-        for trial in range(2, 5):
-            point = tuple(rat(trial + 2 * i) for i in range(t))
-            coeffs = [c for c in (*q.coeffs, *p_mu.coeffs) if isinstance(c, RatFun)]
-            if all(c.den.eval_all(point) for c in coeffs):
-                def colvec(p: UniPoly, _pt=point):
-                    return [p[k].evaluate(_pt) if isinstance(p[k], RatFun)
-                            else rat(p[k] or 0) for k in range(D)]
-                break
-
-    # Krylov columns of p_mu in K[Y]/q: the first dependent power is delta,
-    # and D+1 columns in a D-dimensional space guarantee one exists
-    cols = [vec(UniPoly.const(one))]
-    rank_cols = [colvec(UniPoly.const(one))]
-    powers = [UniPoly.const(one)]
-    delta = None
-    cur = UniPoly.const(one)
-    for k in range(1, D + 1):
-        cur = upoly_mod(cur * p_mu, q)
-        powers.append(cur)
-        cand = rank_cols + [colvec(cur)]
-        rows = [[cand[j][i] for j in range(len(cand))] for i in range(D)]
-        if matrix_rank(rows) < len(cand):
-            delta = k
-            break
-        cols.append(vec(cur))
-        rank_cols.append(cand[-1])
-
-    rows = [[cols[j][i] for j in range(delta)] for i in range(D)]
-    try:
-        qsol = solve_consistent(rows, vec(powers[delta]))
-    except InconsistentSystem as exc:
-        raise MuNotPrimitive("mu not primitive for projection (minimal "
-                             "polynomial solve inconsistent)") from exc
-    q_mu = UniPoly([-x for x in qsol] + [one])
+    # D+1 vectors in a D-dimensional space guarantee a dependency
+    krylov = KrylovEchelon(one)
+    power = UniPoly.const(one)
+    relation = krylov.add(vec(power))
+    while relation is None:
+        power = upoly_mod(power * p_mu, q)
+        relation = krylov.add(vec(power))
+    q_mu = UniPoly([-c for c in relation] + [one])
 
     params = {}
     for v in projected_vars:
         try:
-            sol = solve_consistent(rows, vec(upoly_mod(res.params[v], q)))
+            params[v] = UniPoly(krylov.solve(vec(upoly_mod(res.params[v], q))))
         except InconsistentSystem as exc:
             raise MuNotPrimitive(
                 f"mu not primitive for projection (coordinate {v})") from exc
-        params[v] = UniPoly(sol)
 
-    return GeometricResolution(res.free_vars, projected_vars, mu, q_mu, params,
-                               res.warnings)
+    return GeometricResolution(res.free_vars, projected_vars, mu, q_mu, params)
 
 
 def _eval_at_upoly(p: UniPoly, x: UniPoly, q: UniPoly) -> UniPoly:
@@ -561,11 +485,7 @@ def verify_resolution(res: GeometricResolution, context) -> VerificationReport:
     else:
         parent, projected_vars, mu = context
         q = parent.q
-        p_mu = UniPoly.zero()
-        for v, c in zip(projected_vars, mu):
-            if c:
-                p_mu = p_mu + parent.params[v].scale(_coeff_to_field(rat(c), t))
-        p_mu = upoly_mod(p_mu, q)
+        p_mu = linear_form(parent.params, projected_vars, mu, q, t)
         entries.append(("q_mu(p_mu) = 0 mod q_lambda",
                         not _eval_at_upoly(res.q, p_mu, q)))
         for v in projected_vars:
@@ -625,9 +545,7 @@ def q_projection(problem: ProjectionProblem) -> ProjectionResult:
     if any(not g for g in specialized):
         raise GenericityFailure("system polynomial vanished after specialization")
 
-    projected_family = SupportFamily(
-        [Support(t + r, {tuple(p[i] for i in frame_positions) for p in m.points})
-         for m in family.members])
+    projected_family = project_supports(family, frame_positions)
     mv = mixed_volume(SupportFamily(
         list(projected_family.members) + [Support.simplex(t + r)] * t))
     kappa = problem.precision if problem.precision is not None else 2 * mv
@@ -647,7 +565,7 @@ def q_projection(problem: ProjectionProblem) -> ProjectionResult:
     attempts = 0
     while True:
         if mu is None:
-            mu = tuple(_draw_nonzero(rng, problem.bound) for _ in proj_frame)
+            mu = draw_nonzero(rng, problem.bound, len(proj_frame))
         try:
             projected = geom_res_proj(parametric, proj_frame, mu)
             break

@@ -42,14 +42,8 @@ def project_supports(family: SupportFamily, keep) -> SupportFamily:
     keep = list(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
-    members = []
-    for m in family.members:
-        members.append(Support(len(keep), {tuple(p[i] for i in keep) for p in m.points}))
-    return SupportFamily(members)
-
-
-def _project_support(s: Support, keep) -> Support:
-    return Support(len(keep), {tuple(p[i] for i in keep) for p in s.points})
+    return SupportFamily([Support(len(keep), {tuple(p[i] for i in keep) for p in m.points})
+                          for m in family.members])
 
 
 def family_dim_ok(family: SupportFamily) -> bool:
@@ -66,6 +60,29 @@ def family_dim_ok(family: SupportFamily) -> bool:
     return True
 
 
+def _greedy_search(family: SupportFamily):
+    """The greedy search: yields (variable, accepted) in examination order.
+
+    X_k is accepted when the supports with the candidate basis projected
+    away, plus one simplex per basis element still missing, have positive
+    mixed volume.
+    """
+    n = family.dim
+    r = len(family.members)
+    tb: list[int] = []
+    for k in range(n):
+        if len(tb) >= n - r:
+            return
+        candidate = tb + [k]
+        keep = [i for i in range(n) if i not in candidate]
+        members = list(project_supports(family, keep).members) \
+            + [Support.simplex(len(keep))] * (n - r - len(candidate))
+        ok = mv_positive(SupportFamily(members))
+        if ok:
+            tb.append(k)
+        yield k, ok
+
+
 def trans_basis(family: SupportFamily) -> tuple[int, ...]:
     """Greedy transcendence basis of the toric variety's function field.
 
@@ -80,40 +97,15 @@ def trans_basis(family: SupportFamily) -> tuple[int, ...]:
         raise DegenerateFamily("more equations than variables")
     if not family_dim_ok(family):
         raise DegenerateFamily("degenerate support family (empty toric variety)")
-    tb: list[int] = []
-    k = 0
-    while len(tb) < n - r and k < n:
-        candidate = tb + [k]
-        keep = [i for i in range(n) if i not in candidate]
-        projected = [_project_support(m, keep) for m in family.members]
-        simplex_count = n - r - len(candidate)
-        members = projected + [Support.simplex(len(keep))] * simplex_count
-        if mv_positive(SupportFamily(members)):
-            tb.append(k)
-        k += 1
+    tb = tuple(k for k, ok in _greedy_search(family) if ok)
     if len(tb) < n - r:
         raise DegenerateFamily("could not complete a transcendence basis")
-    return tuple(tb)
+    return tb
 
 
 def trans_basis_examined(family: SupportFamily) -> list[tuple[int, bool]]:
     """Replay of the greedy search: (variable, accepted) in examination order."""
-    n = family.dim
-    r = len(family.members)
-    out = []
-    tb: list[int] = []
-    k = 0
-    while len(tb) < n - r and k < n:
-        candidate = tb + [k]
-        keep = [i for i in range(n) if i not in candidate]
-        projected = [_project_support(m, keep) for m in family.members]
-        members = projected + [Support.simplex(len(keep))] * (n - r - len(candidate))
-        ok = mv_positive(SupportFamily(members))
-        out.append((k, ok))
-        if ok:
-            tb.append(k)
-        k += 1
-    return out
+    return list(_greedy_search(family))
 
 
 class GammaComponent:

@@ -1,24 +1,32 @@
 """Exact geometric resolution of the toric zeros of a square system over Q.
 
 The toric solve saturates the ideal with T*X1*...*Xm - 1, computes a graded
-Groebner basis, builds the multiplication matrix of the separating form on
-the quotient algebra, takes the squarefree part of its characteristic
-polynomial as the minimal polynomial q, and recovers each coordinate as a
-polynomial in the separating form by solving the linear systems in the power
-basis {1, lambda, ..., lambda^(deg q - 1)}.
+Groebner basis, and reduces the Krylov vectors 1, lambda, lambda^2, ... of
+the separating form on the quotient algebra in one incremental elimination
+(``linalg.KrylovEchelon``).  The first dependent power gives the minimal
+polynomial q of lambda, and every coordinate is solved against the same
+elimination in the power basis {1, lambda, ..., lambda^(deg q - 1)}: the
+rational univariate representation (Rouillier, AAECC 1999).
 
 Detected failure modes are typed so the drivers can retry with fresh random
 data: LambdaNotSeparating (the caller picks a new separating form) and
 NonGenericInput (the saturated ideal is not zero-dimensional, or a computed
 resolution fails its own exactness audit).
+
+The module also holds what the fiber solve and the projection share: the
+composition of a polynomial with a parametrization modulo q, the linear form
+sum c_j v_j modulo q, and the random draw of a separating form.
 """
 
 from __future__ import annotations
 
+import random
+
 from .groebner import NotZeroDimensional, buchberger, normal_form, quotient_basis
-from .linalg import InconsistentSystem, solve_consistent
-from .mpoly import SparsePoly
+from .linalg import KrylovEchelon
+from .mpoly import SparsePoly, mpoly_gcd
 from .rat import RAT_ONE, RAT_ZERO, rat
+from .ratfun import RatFun
 from .upoly import UniPoly, upoly_mod
 
 
@@ -40,16 +48,14 @@ class GeometricResolution:
     free variables otherwise.
     """
 
-    __slots__ = ("free_vars", "dep_vars", "lam", "q", "params", "warnings")
+    __slots__ = ("free_vars", "dep_vars", "lam", "q", "params")
 
-    def __init__(self, free_vars, dep_vars, lam, q: UniPoly, params: dict,
-                 warnings=()):
+    def __init__(self, free_vars, dep_vars, lam, q: UniPoly, params: dict):
         self.free_vars = tuple(free_vars)
         self.dep_vars = tuple(dep_vars)
         self.lam = tuple(lam)
         self.q = q
         self.params = dict(params)
-        self.warnings = tuple(warnings)
 
     def degree(self) -> int:
         return self.q.degree()
@@ -59,55 +65,17 @@ class GeometricResolution:
                 f"lam={self.lam}, deg={self.degree()})")
 
 
-def _faddeev_charpoly(m):
-    """Characteristic polynomial det(Y*I - M) by Faddeev-LeVerrier.
-
-    Exact over Q (the algorithm divides by integers only).  Coefficients are
-    returned lowest degree first, monic.
-    """
-    n = len(m)
-    coeffs = [RAT_ZERO] * n + [RAT_ONE]
-    mk = [row[:] for row in m]
-    for k in range(1, n + 1):
-        tr = sum((mk[i][i] for i in range(n)), RAT_ZERO)
-        c = -tr / k
-        coeffs[n - k] = c
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += c
-        nxt = [[sum((m[i][t] * mk[t][j] for t in range(n)), RAT_ZERO)
-                for j in range(n)] for i in range(n)]
-        mk = nxt
-    return UniPoly(coeffs)
-
-
-def _as_unipoly_sparse(q: UniPoly) -> SparsePoly:
-    return SparsePoly(1, {(k,): c for k, c in enumerate(q.coeffs) if c})
-
-
 def _unipoly_gcd_primitive(a: UniPoly, b: UniPoly) -> SparsePoly:
     """gcd of univariate rational polynomials via the integer primitive PRS.
 
     The monic Euclidean algorithm over Q suffers severe coefficient growth
-    on the characteristic polynomials showing up here; the content-stripped
+    on the minimal polynomials showing up here; the content-stripped
     pseudo-remainder sequence keeps the integers bounded.
     """
-    from .mpoly import mpoly_gcd
+    def sparse(p: UniPoly) -> SparsePoly:
+        return SparsePoly(1, {(k,): c for k, c in enumerate(p.coeffs) if c})
 
-    return mpoly_gcd(_as_unipoly_sparse(a), _as_unipoly_sparse(b))
-
-
-def _squarefree_part(q: UniPoly) -> UniPoly:
-    if q.degree() <= 1:
-        return q.monic()
-    g = _unipoly_gcd_primitive(q, q.derivative())
-    if g.is_constant():
-        return q.monic()
-    quo = _as_unipoly_sparse(q).exact_div(g)
-    out = UniPoly([quo.terms.get((k,), RAT_ZERO)
-                   for k in range(quo.degree_in(0) + 1)])
-    return out.monic()
+    return mpoly_gcd(sparse(a), sparse(b))
 
 
 def _lambda_poly(nvars: int, lam) -> SparsePoly:
@@ -120,16 +88,14 @@ def _lambda_poly(nvars: int, lam) -> SparsePoly:
     return SparsePoly(nvars, terms)
 
 
-def solve_toric_0d(system, lam, *, on_multiple: str = "raise",
-                   check: bool = True) -> GeometricResolution:
+def solve_toric_0d(system, lam, *, check: bool = True) -> GeometricResolution:
     """Geometric resolution of the common toric zeros of a square system.
 
     ``system``: m polynomials in m variables; ``lam``: integer coefficients
-    of the separating form over those variables.  ``on_multiple`` controls
-    the policy when the characteristic polynomial of the multiplication
-    matrix is not squarefree: "raise" signals LambdaNotSeparating (the
-    driver retries with a fresh form), "squarefree" continues with the
-    squarefree part and records a warning.
+    of the separating form over those variables.  Raises LambdaNotSeparating
+    unless the minimal polynomial of lambda on the quotient algebra has the
+    algebra's dimension and is squarefree (the degree alone would accept a
+    non-reduced algebra such as Q[x]/(x^2)).
     """
     system = list(system)
     m = system[0].nvars if system else 0
@@ -169,40 +135,29 @@ def solve_toric_0d(system, lam, *, on_multiple: str = "raise",
             vec[index[e]] = c
         return vec
 
+    # Krylov vectors 1, lambda, lambda^2, ... until the first dependency
     lam_poly = _lambda_poly(n1, lam)
-    std_polys = [SparsePoly(n1, {e: RAT_ONE}, _clean=True) for e in std]
-    mult_cols = [coords(normal_form(lam_poly * b, gb)) for b in std_polys]
-    mat = [[mult_cols[j][i] for j in range(dim)] for i in range(dim)]
-
-    charpoly = _faddeev_charpoly(mat)
-    q = _squarefree_part(charpoly)
-    warnings = []
+    krylov = KrylovEchelon(RAT_ONE)
+    power = SparsePoly.const(n1, 1)
+    relation = krylov.add(coords(power))
+    while relation is None:
+        power = normal_form(lam_poly * power, gb)
+        relation = krylov.add(coords(power))
+    q = UniPoly([-c for c in relation] + [RAT_ONE])
     if q.degree() < dim:
-        if on_multiple == "raise":
-            raise LambdaNotSeparating(
-                f"lambda not separating: char poly degree {dim}, squarefree {q.degree()}")
-        warnings.append("multiple-roots: squarefree part of a non-squarefree "
-                        "characteristic polynomial")
+        raise LambdaNotSeparating(
+            f"lambda not separating: minimal polynomial degree {q.degree()}, "
+            f"quotient dimension {dim}")
+    if not _unipoly_gcd_primitive(q, q.derivative()).is_constant():
+        raise LambdaNotSeparating("lambda not separating: minimal polynomial "
+                                  "not squarefree")
 
-    # Krylov vectors of lambda powers, then one linear solve per coordinate
-    deg = q.degree()
-    powers = []
-    cur = SparsePoly.const(n1, 1)
-    for i in range(deg):
-        powers.append(coords(cur))
-        cur = normal_form(lam_poly * cur, gb)
-    rows = [[powers[j][i] for j in range(deg)] for i in range(dim)]
-    params: dict[int, UniPoly] = {}
+    # the powers span the quotient, so every coordinate is in their span
+    params = {}
     for v in range(m):
         xv = normal_form(SparsePoly.variable(n1, v), gb)
-        try:
-            sol = solve_consistent(rows, coords(xv))
-        except InconsistentSystem as exc:
-            raise LambdaNotSeparating(
-                f"coordinate {v} not expressible in lambda powers") from exc
-        params[v] = UniPoly([rat(c) for c in sol])
-
-    res = GeometricResolution((), tuple(range(m)), lam, q, params, warnings)
+        params[v] = UniPoly(krylov.solve(coords(xv)))
+    res = GeometricResolution((), tuple(range(m)), lam, q, params)
     if check:
         audit_0d(res, system)
     return res
@@ -213,10 +168,7 @@ def audit_0d(res: GeometricResolution, system) -> None:
     q = res.q
     if q.degree() == 0:
         return
-    lam_comb = UniPoly.zero()
-    for v, c in zip(res.dep_vars, res.lam):
-        if c:
-            lam_comb = lam_comb + res.params[v].scale(rat(c))
+    lam_comb = linear_form(res.params, res.dep_vars, res.lam, q)
     if upoly_mod(lam_comb - UniPoly((RAT_ZERO, RAT_ONE)), q):
         raise NonGenericInput("lambda inconsistency in resolution")
     if not _unipoly_gcd_primitive(q, q.derivative()).is_constant():
@@ -226,57 +178,86 @@ def audit_0d(res: GeometricResolution, system) -> None:
                 not _unipoly_gcd_primitive(res.params[v], q).is_constant():
             raise NonGenericInput(f"coordinate {v} vanishes on a root (not toric)")
     for g in system:
-        if compose_system_poly(g, res.params, q):
+        if compose_parametric(g, 0, res.params, q):
             raise NonGenericInput("system polynomial does not vanish on the resolution")
 
 
-def compose_system_poly(g: SparsePoly, params: dict, q: UniPoly) -> UniPoly:
-    """g with every variable replaced by its parametrization, reduced mod q."""
-    tables: dict[tuple[int, int], UniPoly] = {}
+def compose_parametric(g: SparsePoly, t: int, params: dict, q: UniPoly) -> UniPoly:
+    """g(X_free, params(Y)) reduced mod q, over Q(X_free) (plain Q when t=0).
 
-    def power(v: int, k: int) -> UniPoly:
-        got = tables.get((v, k))
+    The first t variables of g are the free ones; variable t + j is replaced
+    by ``params[t + j]``.
+    """
+    cache: dict = {}
+
+    def dep_power(v: int, k: int) -> UniPoly:
+        got = cache.get((v, k))
         if got is None:
-            if k == 1:
-                got = upoly_mod(params[v], q)
-            else:
-                got = upoly_mod(power(v, k - 1) * params[v], q)
-            tables[(v, k)] = got
+            got = params[v] if k == 1 else upoly_mod(dep_power(v, k - 1) * params[v], q)
+            cache[(v, k)] = got
         return got
 
     acc = UniPoly.zero()
     for e, c in g.terms.items():
-        term = UniPoly.const(c)
-        for v, k in enumerate(e):
+        if t:
+            scalar = RatFun.from_poly(SparsePoly.monomial(t, e[:t], c))
+        else:
+            scalar = c
+        term = UniPoly.const(scalar)
+        for j, k in enumerate(e[t:]):
             if k:
-                term = upoly_mod(term * power(v, k), q)
+                term = upoly_mod(term * dep_power(t + j, k), q)
         acc = acc + term
     return upoly_mod(acc, q)
 
 
-def count_toric_roots(system, lam=None, *, retries: int = 5, seed: int = 0,
-                      bound: int = 100) -> int:
-    """Number of toric roots = deg q for a successful separating form."""
-    import random
+def linear_form(params: dict, variables, coeffs, q: UniPoly, t: int = 0) -> UniPoly:
+    """sum_j coeffs_j * params[variables_j] reduced mod q.
 
-    rng = random.Random(seed)
-    m = system[0].nvars
-    attempts = [tuple(lam)] if lam is not None else []
-    while len(attempts) < (1 if lam is not None else retries):
-        attempts.append(tuple(_draw_nonzero(rng, bound) for _ in range(m)))
+    Coefficients are taken in Q(X_0..X_{t-1}) (plain Q when t = 0).
+    """
+    acc = UniPoly.zero()
+    for v, c in zip(variables, coeffs):
+        if c:
+            c = RatFun.from_const(t, rat(c)) if t else rat(c)
+            acc = acc + params[v].scale(c)
+    return upoly_mod(acc, q)
+
+
+def draw_nonzero(rng, bound: int, count: int) -> tuple:
+    """``count`` integers drawn uniformly from [-bound, bound] without 0."""
+    out = []
+    while len(out) < count:
+        x = rng.randint(-bound, bound)
+        if x:
+            out.append(x)
+    return tuple(out)
+
+
+def solve_separating(system, rng, bound: int, attempts: int, *,
+                     check: bool = True) -> GeometricResolution:
+    """solve_toric_0d with up to ``attempts`` separating forms drawn from rng.
+
+    Raises the last LambdaNotSeparating when no drawn form separates.
+    """
     last: Exception | None = None
-    for cand in attempts:
+    for _ in range(attempts):
         try:
-            # the count only needs deg q; degeneracies still surface as
-            # typed failures, so the (expensive) exactness audit is skipped
-            return solve_toric_0d(system, cand, check=False).degree()
+            return solve_toric_0d(system, draw_nonzero(rng, bound, len(system)),
+                                  check=check)
         except LambdaNotSeparating as exc:
             last = exc
     raise last if last is not None else NonGenericInput("no attempts made")
 
 
-def _draw_nonzero(rng, bound: int) -> int:
-    x = 0
-    while x == 0:
-        x = rng.randint(-bound, bound)
-    return x
+def count_toric_roots(system, lam=None, *, retries: int = 5, seed: int = 0,
+                      bound: int = 100) -> int:
+    """Number of toric roots = deg q for a successful separating form.
+
+    The count only needs deg q; degeneracies still surface as typed
+    failures, so the (expensive) exactness audit is skipped.
+    """
+    if lam is not None:
+        return solve_toric_0d(system, tuple(lam), check=False).degree()
+    return solve_separating(system, random.Random(seed), bound, retries,
+                            check=False).degree()

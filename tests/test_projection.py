@@ -183,13 +183,6 @@ def test_degree_bound_recorded(res5):
     assert proj.degree() == 5 <= 66
 
 
-def test_probabilistic_rank_agrees(res5):
-    exact = geom_res_proj(res5, (2,), (1,))
-    fast = geom_res_proj(res5, (2,), (1,), probabilistic_rank=True)
-    assert fast.q == exact.q
-    assert fast.params == exact.params
-
-
 # -- early termination of the lift ------------------------------------------------
 
 

@@ -32,3 +32,11 @@ def test_arithmetic_exact():
 def test_backend_reported():
     assert BACKEND in ("gmpy2", "fraction")
     assert isinstance(rat(1, 2), Rat)
+
+
+def test_package_keeps_module_names():
+    import sparseproj.pade as pade_module
+    import sparseproj.rat as rat_module
+
+    assert issubclass(pade_module.NoValidApproximant, ArithmeticError)
+    assert rat_module.BACKEND in ("gmpy2", "fraction")

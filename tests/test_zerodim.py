@@ -8,8 +8,10 @@ from sparseproj.upoly import UniPoly, upoly_gcd, upoly_mod
 from sparseproj.zerodim import (
     LambdaNotSeparating,
     NonGenericInput,
-    compose_system_poly,
+    compose_parametric,
     count_toric_roots,
+    draw_nonzero,
+    solve_separating,
     solve_toric_0d,
 )
 
@@ -37,7 +39,7 @@ def test_membership_and_saturation_invariants():
     system = threevar_fiber()
     res = solve_toric_0d(system, (0, 1))
     for g in system:
-        assert compose_system_poly(g, res.params, res.q).is_zero()
+        assert compose_parametric(g, 0, res.params, res.q).is_zero()
     for v in res.dep_vars:
         assert upoly_gcd(res.params[v], res.q).degree() == 0
     assert upoly_gcd(res.q, res.q.derivative()).degree() == 0
@@ -55,13 +57,25 @@ def test_lambda_not_separating_detected_and_policy():
         solve_toric_0d(sysm, (1, 0))
     res = solve_toric_0d(sysm, (1, 2))
     assert res.degree() == 4
-    # squared separable factor: fallback keeps the squarefree part and warns
+    # squared separable factor
     dbl = SparsePoly(1, {(4,): 1, (3,): -6, (2,): 13, (1,): -12, (0,): 4})
     with pytest.raises(LambdaNotSeparating):
         solve_toric_0d([dbl], (1,))
-    fallback = solve_toric_0d([dbl], (1,), on_multiple="squarefree")
-    assert fallback.degree() == 2
-    assert fallback.warnings
+
+
+def test_separating_retry_draws_in_order():
+    import random
+
+    # x^2 = 1, y^2 = 1: a draw with |lam_1| = |lam_2| does not separate
+    sysm = [SparsePoly(2, {(2, 0): 1, (0, 0): -1}),
+            SparsePoly(2, {(0, 2): 1, (0, 0): -1})]
+    rng = random.Random(7)
+    draws = [draw_nonzero(rng, 2, 2) for _ in range(8)]
+    first = next(lam for lam in draws if abs(lam[0]) != abs(lam[1]))
+    res = solve_separating(sysm, random.Random(7), 2, 8)
+    assert res.lam == first and res.degree() == 4
+    with pytest.raises(LambdaNotSeparating):
+        solve_separating(sysm, random.Random(7), 1, 3)
 
 
 def test_non_generic_positive_dimensional():
