@@ -4,10 +4,18 @@ Everything runs on integer arithmetic.  Hull volumes come from an incremental
 beneath-beyond placing triangulation: points are inserted one at a time, the
 simplices spanned by the new point and the strictly visible boundary facets
 are accumulated, and coplanar facets are skipped (their pyramids have volume
-zero, so degenerate inputs cost nothing but bookkeeping).  The normalized
-mixed volume is the inclusion-exclusion alternating sum of subset Minkowski
-sum volumes, scaled so that MV of n standard simplices is 1; equivalently it
-is the generic toric root count of Bernstein's theorem.
+zero, so degenerate inputs cost nothing but bookkeeping).  The boundary of
+that triangulation also holds points inside faces; a boundary point is kept
+as a vertex only when the primitive facet normals tight at it have full rank.
+
+The normalized mixed volume is the inclusion-exclusion alternating sum of
+Minkowski sum volumes, scaled so that MV of n standard simplices is 1;
+equivalently it is the generic toric root count of Bernstein's theorem.
+Equal members (after translation to the origin) are grouped: the sum runs
+over multiplicity vectors with binomial weights, and each Minkowski sum is
+built from the vertices of one with a summand fewer, so k copies of a
+polytope enter through its vertices and never through its k-fold lattice
+points.
 
 The method is exponential in the dimension, which is fine at the intended
 scale; a configurable cap (default 12) rejects larger ambient dimensions.
@@ -16,7 +24,8 @@ scale; a configurable cap (default 12) rejects larger ambient dimensions.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from itertools import product
+from math import comb, factorial, gcd, prod
 
 from .rat import rat
 
@@ -199,12 +208,13 @@ def _hull_1d(pts):
 
 
 def hull_volume_and_corners(points):
-    """Exact d!-scaled volume of conv(points) plus a covering corner set.
+    """Exact d!-scaled volume of conv(points) plus its vertices.
 
-    Returns (scaled_volume: int, corners: list of points) where scaled_volume
-    is d! times the Euclidean volume.  The corner list spans the same hull and
-    is usually much smaller than the input; for lower-dimensional hulls the
-    volume is 0 and the input points are returned unreduced.
+    Returns (scaled_volume: int, vertices: sorted list of points) where
+    scaled_volume is d! times the Euclidean volume and the vertices are
+    exactly the vertices of the full-dimensional hull.  For lower-dimensional
+    hulls the volume is 0 and the distinct input points are returned
+    unreduced.
     """
     pts = sorted(set(tuple(p) for p in points))
     d = len(pts[0])
@@ -271,11 +281,20 @@ def hull_volume_and_corners(points):
             if cnt == 1:
                 add_facet(tuple(ridge) + (idx,))
 
-    corner_idx = set()
-    for key in facets:
-        corner_idx.update(key)
-    corners = sorted(pts[i] for i in corner_idx)
-    return vol_scaled, corners
+    # Reduce the boundary triangulation to the vertices: a boundary point is
+    # a vertex iff the facet hyperplanes tight at it have normals of rank d.
+    # Primitive normals make coplanar simplices share one hyperplane.
+    planes = set()
+    for normal, offset in facets.values():
+        g = gcd(*normal)
+        planes.add((tuple(a // g for a in normal), offset // g))
+    vertices = []
+    for p in {pts[i] for key in facets for i in key}:
+        tight = [normal for normal, offset in planes
+                 if sum(a * x for a, x in zip(normal, p)) == offset]
+        if _int_rank(tight) == d:
+            vertices.append(p)
+    return vol_scaled, sorted(vertices)
 
 
 def hull_volume(s: Support, dim_cap: int = DEFAULT_DIM_CAP):
@@ -293,10 +312,6 @@ def minkowski_sum(a: Support, b: Support) -> Support:
         raise PolytopeError("ambient dimension mismatch")
     pts = {tuple(x + y for x, y in zip(p, q)) for p in a.points for q in b.points}
     return Support(a.dim, pts)
-
-
-def _sum_corners(a_pts, b_pts):
-    return {tuple(x + y for x, y in zip(p, q)) for p in a_pts for q in b_pts}
 
 
 def mixed_volume(family: SupportFamily, dim_cap: int = DEFAULT_DIM_CAP) -> int:
@@ -318,25 +333,31 @@ def mixed_volume(family: SupportFamily, dim_cap: int = DEFAULT_DIM_CAP) -> int:
 # long-running process from holding every family it ever saw.
 @lru_cache(maxsize=128)
 def _mixed_volume_normalized(n: int, normalized) -> int:
-    # reduce every member to hull corners before summing
-    members = [hull_volume_and_corners(pts)[1] for pts in normalized]
+    # Equal translated members are one polytope P_i of multiplicity m_i, and
+    # the subsets of the family with j_i copies of each P_i all have the sum
+    # sum_i j_i P_i: inclusion-exclusion runs over 0 <= j <= m with weight
+    # prod_i C(m_i, j_i), each sum built from the vertices of a smaller one.
+    distinct = list(dict.fromkeys(normalized))
+    mult = [normalized.count(pts) for pts in distinct]
+    members = [hull_volume_and_corners(pts)[1] for pts in distinct]
 
-    sums: dict = {}        # bitmask -> corner point list of the subset sum
+    zero = (0,) * len(distinct)
+    sums = {zero: [(0,) * n]}      # multiplicity vector -> vertices of its sum
     total = 0
     fact = factorial(n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        if rest == 0:
-            pts = members[low]
-            scaled = None
-        else:
-            pts = sorted(_sum_corners(sums[rest], members[low]))
-            scaled = None
-        scaled, corners = hull_volume_and_corners(pts)
-        sums[mask] = corners
-        sign = 1 if (n - mask.bit_count()) % 2 == 0 else -1
-        total += sign * scaled
+    for j in product(*(range(m + 1) for m in mult)):
+        if j == zero:
+            continue
+        # of the sums one summand smaller, extend the one with the fewest
+        # pairwise vertex sums
+        i, pred = min(((i, j[:i] + (j[i] - 1,) + j[i + 1:])
+                       for i, j_i in enumerate(j) if j_i),
+                      key=lambda step: len(members[step[0]]) * len(sums[step[1]]))
+        scaled, sums[j] = hull_volume_and_corners(
+            {tuple(x + y for x, y in zip(p, q)) for p in sums[pred] for q in members[i]})
+        weight = prod(comb(m_i, j_i) for m_i, j_i in zip(mult, j))
+        sign = 1 if (n - sum(j)) % 2 == 0 else -1
+        total += sign * weight * scaled
     if total % fact:
         raise PolytopeError("inclusion-exclusion did not produce an integer")
     mv = total // fact

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
 
+from sparseproj import polytope
 from sparseproj.polytope import (
     PolytopeError,
     Support,
     SupportFamily,
     hull_volume,
+    hull_volume_and_corners,
     minkowski_sum,
     mixed_volume,
     mv_positive,
@@ -159,3 +163,101 @@ def test_dimension_cap():
     d = Support.simplex(3)
     with pytest.raises(PolytopeError):
         mixed_volume(SupportFamily([d, d, d]), dim_cap=2)
+
+
+# -- vertices of the hull ----------------------------------------------------------
+
+
+def test_hull_vertices_of_lattice_cube_and_simplex():
+    cube = list(product(range(3), repeat=3))
+    scaled, vertices = hull_volume_and_corners(cube)
+    assert scaled == 48
+    assert vertices == list(product((0, 2), repeat=3))
+    two_simplex = [p for p in cube if sum(p) <= 2]
+    assert hull_volume_and_corners(two_simplex)[1] == \
+        [(0, 0, 0), (0, 0, 2), (0, 2, 0), (2, 0, 0)]
+
+
+def test_hull_lower_dimensional_returns_input():
+    planar = [(0, 0, 1), (2, 0, 1), (0, 3, 1), (1, 1, 1), (2, 3, 1)]
+    assert hull_volume_and_corners(planar) == (0, sorted(planar))
+
+
+def test_hull_vertices_against_monotone_chain(rng):
+    for _ in range(30):
+        pts = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(3, 12))]
+        scaled, vertices = hull_volume_and_corners(pts)
+        if scaled:
+            assert vertices == sorted(_hull2d(pts))
+
+
+# -- grouped inclusion-exclusion against the plain subset sum ------------------------
+
+
+def _mv_subset_oracle(members):
+    """Inclusion-exclusion over all 2^n subsets of the family, each subset's
+    Minkowski sum taken over every point."""
+    n = members[0].dim
+    total = 0
+    for mask in range(1, 1 << n):
+        chosen = [m for i, m in enumerate(members) if mask >> i & 1]
+        acc = chosen[0]
+        for m in chosen[1:]:
+            acc = minkowski_sum(acc, m)
+        scaled, _ = hull_volume_and_corners(acc.points)
+        total += (-1) ** (n - len(chosen)) * scaled
+    assert total % factorial(n) == 0
+    return total // factorial(n)
+
+
+def _translate(s, shift):
+    return Support(s.dim, [tuple(x + d for x, d in zip(p, shift)) for p in s.points])
+
+
+def test_mv_grouped_against_subset_oracle(rng):
+    seen = {"repeated": 0, "translated": 0, "simplex": 0}
+    for _ in range(50):
+        dim = rng.randint(2, 4)
+        pool = [_random_support(rng, dim, npts=4, span=2), Support.simplex(dim)]
+        members = []
+        for _ in range(dim):
+            base = rng.choice(pool)
+            shift = tuple(rng.randint(0, 1) for _ in range(dim))
+            members.append(_translate(base, shift))
+        bases = [m.translate_to_origin() for m in members]
+        seen["repeated"] += len(set(bases)) < dim
+        seen["translated"] += len(set(bases)) < len(set(members))
+        seen["simplex"] += Support.simplex(dim) in bases
+        assert mixed_volume(SupportFamily(members)) == _mv_subset_oracle(members)
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+# -- the five-variable degree cap -----------------------------------------------------
+
+FIVEVAR_A1 = Support(5, [(0, 0, 0, 0, 0), (1, 1, 1, 0, 0), (2, 0, 0, 4, 2), (0, 0, 0, 8, 4)])
+FIVEVAR_A2 = Support(5, [(1, 0, 1, 1, 2), (0, 1, 2, 5, 4), (1, 3, 0, 5, 4)])
+
+
+def _degree_cap_family():
+    return SupportFamily([FIVEVAR_A1, FIVEVAR_A2] + [Support.simplex(5)] * 3)
+
+
+def test_fivevar_degree_cap():
+    assert mixed_volume(_degree_cap_family()) == 66
+
+
+def test_degree_cap_hulls_work_on_vertices(monkeypatch):
+    """Summing lattice points instead of vertices, or the three simplices
+    one at a time, makes 36 hulls on 2695 points for this family."""
+    calls = []
+    real = polytope.hull_volume_and_corners
+
+    def counting(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(polytope, "hull_volume_and_corners", counting)
+    polytope._mixed_volume_normalized.cache_clear()
+    assert mixed_volume(_degree_cap_family()) == 66
+    assert 0 < len(calls) <= 20
+    assert sum(calls) <= 600

@@ -183,6 +183,34 @@ def test_degree_bound_recorded(res5):
     assert proj.degree() == 5 <= 66
 
 
+class _StopBeforeLift(Exception):
+    pass
+
+
+def test_fivevar_degree_bound_and_precision(monkeypatch):
+    """The README five-variable run (b = X4 = 1) lifts with degree bound
+    MV(S, Delta^2) = 22 and precision cap 44, under degree cap 66."""
+    seen = {}
+
+    def stop(specialized, t, lam, **kwargs):
+        seen.update(kwargs, t=t)
+        raise _StopBeforeLift
+
+    mixed_volumes = []
+    real_mv = projection.mixed_volume
+
+    def recording_mv(family):
+        mixed_volumes.append(real_mv(family))
+        return mixed_volumes[-1]
+
+    monkeypatch.setattr(projection, "mixed_volume", recording_mv)
+    monkeypatch.setattr(projection, "parametric_toric_geomres", stop)
+    with pytest.raises(_StopBeforeLift):
+        q_projection(ProjectionProblem(fivevar_system(), 3, seed=42, b=(1,)))
+    assert mixed_volumes == [66, 22]
+    assert (seen["t"], seen["degree_bound"], seen["kappa"]) == (2, 22, 44)
+
+
 # -- early termination of the lift ------------------------------------------------
 
 
