@@ -5,15 +5,13 @@ Subcommands: mv, transbasis, gamma, solve0d, project, verify.  Exit codes:
 
 Random data can be pinned per variable with assignment syntax, e.g.
 ``--lambda X5=1 --mu X3=1 --b X4=1 --xi X1=2,X2=3``; unpinned draws come
-from ``--seed``.  Environment variables SPARSEPROJ_SEED, SPARSEPROJ_BOUND,
-SPARSEPROJ_RETRIES and SPARSEPROJ_PRECISION supply defaults for the
-corresponding flags when those are not given.
+from ``--seed``.  ``--seed``, ``--bound`` and ``--retries`` override the
+SystemFile's ``seed``, ``bound`` and ``retries`` lines.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
@@ -102,11 +100,13 @@ def _parse_assignments(text: str, what: str) -> dict[int, int]:
     return out
 
 
-def _env_int(name: str):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    return int(raw)
+def _settings(args, problem: ProjectionProblem):
+    """Seed, bound and retry limit: each flag when given, else the file's."""
+    def pick(flag, value):
+        return value if flag is None else flag
+
+    return (pick(args.seed, problem.seed), pick(args.bound, problem.bound),
+            pick(args.retries, problem.retry_limit))
 
 
 def _read(path: str) -> str:
@@ -142,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--seed", type=int, default=None)
     p_pr.add_argument("--bound", type=int, default=None)
     p_pr.add_argument("--retries", type=int, default=None)
-    p_pr.add_argument("--precision", type=int, default=None,
-                      help="series precision cap (default 2*MV)")
     p_pr.add_argument("--lambda", dest="lam", default=None,
                       help="pin the separating form, e.g. X5=1")
     p_pr.add_argument("--mu", default=None, help="pin the projection form, e.g. X3=1")
@@ -187,9 +185,7 @@ def cmd_solve0d(args) -> int:
         print(f"solve0d needs a square system (r = n), got r={problem.r} n={n}",
               file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else _env_int("SPARSEPROJ_SEED") or 0
-    bound = args.bound if args.bound is not None else _env_int("SPARSEPROJ_BOUND") or problem.bound
-    retries = args.retries if args.retries is not None else _env_int("SPARSEPROJ_RETRIES") or problem.retry_limit
+    seed, bound, retries = _settings(args, problem)
     if args.lam:
         assign = _parse_assignments(args.lam, "--lambda")
         bad = [i for i in assign if i >= n]
@@ -253,18 +249,10 @@ def _pin_from_assignments(problem: ProjectionProblem, lam, mu, b, xi):
 
 def cmd_project(args) -> int:
     problem = parse_system(_read(args.file))
-    seed = args.seed if args.seed is not None else _env_int("SPARSEPROJ_SEED")
-    bound = args.bound if args.bound is not None else _env_int("SPARSEPROJ_BOUND")
-    retries = args.retries if args.retries is not None else _env_int("SPARSEPROJ_RETRIES")
-    precision = args.precision if args.precision is not None else _env_int("SPARSEPROJ_PRECISION")
+    seed, bound, retries = _settings(args, problem)
     pins = _pin_from_assignments(problem, args.lam, args.mu, args.b, args.xi)
-    problem = ProjectionProblem(
-        problem.system, problem.ell,
-        seed=seed if seed is not None else problem.seed,
-        bound=bound if bound is not None else problem.bound,
-        retry_limit=retries if retries is not None else problem.retry_limit,
-        precision=precision if precision is not None else problem.precision,
-        **pins)
+    problem = ProjectionProblem(problem.system, problem.ell, seed=seed, bound=bound,
+                                retry_limit=retries, **pins)
     result = q_projection(problem)
     structured = emit_resolution(result)
     if args.output:

@@ -3,7 +3,7 @@
 System file grammar (``#`` starts a comment anywhere, blank lines ignored)::
 
     system n=5 r=2 l=3
-    seed 42            # optional: seed / bound / retries / precision
+    seed 42            # optional: seed / bound / retries
     poly
     0 0 0 0 0 : 3      # one term per line: n exponents, colon, rational
     1 1 1 0 0 : 2
@@ -65,7 +65,7 @@ def parse_system(text: str):
                 if k not in header:
                     raise ParseError(f"line {lineno}: header missing {k}")
             continue
-        if parts[0] in ("seed", "bound", "retries", "precision"):
+        if parts[0] in ("seed", "bound", "retries"):
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: '{parts[0]}' takes one integer")
             try:
@@ -115,8 +115,7 @@ def parse_system(text: str):
     return ProjectionProblem(system, header["l"],
                              seed=options.get("seed", 0),
                              bound=options.get("bound", 100),
-                             retry_limit=options.get("retries", 5),
-                             precision=options.get("precision"))
+                             retry_limit=options.get("retries", 5))
 
 
 def emit_system(problem) -> str:
@@ -127,8 +126,6 @@ def emit_system(problem) -> str:
         out.append(f"bound {problem.bound}")
     if problem.retry_limit != 5:
         out.append(f"retries {problem.retry_limit}")
-    if problem.precision is not None:
-        out.append(f"precision {problem.precision}")
     from .mpoly import grlex_key
 
     for p in problem.system:

@@ -19,9 +19,10 @@ trusted degree) and the separating-form consistency sum lambda_j w_j = Y.
 A lift may stop at any precision and resume from the LiftedResolution it
 returned; the doubling schedule, and so every series coefficient, is the same
 as in one uninterrupted call.  The projection driver lifts this way one
-doubling at a time and stops at the first precision whose reconstruction it
-can certify, so the target precision it passes on the last call,
-2 * MV(S, Delta^(t)), is only a cap.
+doubling at a time, up to the cap 2 * MV(S, Delta^(t)), and certifies the
+reconstruction after every step with the same exact audit; it stops at the
+first certified one.  Reductions modulo the monic q go through
+``upoly_mod``, which never divides by a leading coefficient of 1.
 
 Two cost facts shape the implementation: components below the trusted degree
 are exactly zero in all residuals, so the sparse component dicts skip that
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from .rat import rat
 from .series import NonUnitSeries, SeriesRing, TruncSeries
-from .upoly import UniPoly, upoly_ext_inv
+from .upoly import UniPoly, upoly_ext_inv, upoly_is_squarefree, upoly_mod
 
 
 class SingularJacobian(ArithmeticError):
@@ -70,27 +71,6 @@ def _reringed(p: UniPoly, ring: SeriesRing) -> UniPoly:
                         if isinstance(c, TruncSeries) else c)
 
 
-def _mod_monic(a: UniPoly, q: UniPoly) -> UniPoly:
-    """Remainder modulo a monic q without coefficient division."""
-    dq = q.degree()
-    da = a.degree()
-    if da < dq:
-        return a
-    rem = list(a.coeffs)
-    qc = q.coeffs
-    for k in range(da - dq, -1, -1):
-        c = rem[dq + k]
-        if c:
-            for i in range(dq):
-                rem[i + k] = rem[i + k] - c * qc[i]
-        rem[dq + k] = 0
-    return UniPoly(rem[:dq])
-
-
-def _mulmod(a: UniPoly, b: UniPoly, q: UniPoly) -> UniPoly:
-    return _mod_monic(a * b, q)
-
-
 class _SystemEvaluator:
     """Evaluates the system and its Jacobian modulo q with shared power tables."""
 
@@ -119,7 +99,7 @@ class _BoundEvaluator:
         got = self._dep_pow.get((j, k))
         if got is None:
             wj = self.w[self.ev.t + j]
-            got = wj if k == 1 else _mulmod(self._dep_power(j, k - 1), wj, self.q)
+            got = wj if k == 1 else upoly_mod(self._dep_power(j, k - 1) * wj, self.q)
             self._dep_pow[(j, k)] = got
         return got
 
@@ -137,7 +117,7 @@ class _BoundEvaluator:
             got = UniPoly.const(self.ring.constant(1))
             for j, k in enumerate(pattern):
                 if k:
-                    got = _mulmod(got, self._dep_power(j, k), self.q)
+                    got = upoly_mod(got * self._dep_power(j, k), self.q)
             self._dep_pattern[pattern] = got
         return got
 
@@ -158,7 +138,7 @@ class _BoundEvaluator:
             factor = self._free_part(e[:t]) * c
             acc = acc + self._dep_part(e[t:]).map_coeffs(
                 lambda s, f=factor: s * f if isinstance(s, TruncSeries) else f * s)
-        return _mod_monic(acc, self.q)
+        return upoly_mod(acc, self.q)
 
 
 def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
@@ -178,11 +158,12 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
         if len(rows) == 1:
             return rows[0][0]
         if len(rows) == 2:
-            return _mulmod(rows[0][0], rows[1][1], qc) - _mulmod(rows[0][1], rows[1][0], qc)
+            return (upoly_mod(rows[0][0] * rows[1][1], qc)
+                    - upoly_mod(rows[0][1] * rows[1][0], qc))
         acc = UniPoly.zero()
         for j in range(len(rows)):
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = _mulmod(rows[0][j], det(minor), qc)
+            term = upoly_mod(rows[0][j] * det(minor), qc)
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
 
@@ -198,13 +179,13 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
         for j in range(m):
             minor = [row[:i] + row[i + 1:] for k, row in enumerate(jc) if k != j]
             cof = _reringed(det(minor), ring) if m > 1 else UniPoly.const(1)
-            term = _mulmod(cof, gvec[j], q)
+            term = upoly_mod(cof * gvec[j], q)
             acc = acc + term if (i + j) % 2 == 0 else acc - term
-        out.append(_mulmod(acc, d_inv, q))
+        out.append(upoly_mod(acc * d_inv, q))
     return out
 
 
-def newton_hensel_lift(system, base, xi, kappa: int, *, check: bool = True,
+def newton_hensel_lift(system, base, xi, kappa: int, *,
                        final_check: bool = True) -> LiftedResolution:
     """Lift a fiber resolution to truncated-series coefficients of order kappa.
 
@@ -214,10 +195,9 @@ def newton_hensel_lift(system, base, xi, kappa: int, *, check: bool = True,
     expansion point (length t).  Raises SingularJacobian when the Jacobian
     is not invertible modulo q at xi, LiftingError on precondition failures.
 
-    ``final_check=False`` skips the closing residual evaluation (only done
-    when ``check`` is set): a caller that resumes the lift from the result
-    gets the same assertion from the first step of the next call, which
-    evaluates that residual anyway.
+    ``final_check=False`` skips the closing residual evaluation: a caller
+    that resumes the lift from the result gets the same assertion from the
+    first step of the next call, which evaluates that residual anyway.
     """
     xi = tuple(rat(x) for x in xi)
     t = len(xi)
@@ -243,8 +223,6 @@ def newton_hensel_lift(system, base, xi, kappa: int, *, check: bool = True,
             raise LiftingError("base resolution must have no free variables")
         if base.degree() < 1:
             raise LiftingError("base resolution has no roots to lift")
-        from .upoly import upoly_is_squarefree
-
         if not upoly_is_squarefree(base.q):
             raise LiftingError("base resolution is not squarefree (simple roots required)")
         lam = base.lam
@@ -261,8 +239,7 @@ def newton_hensel_lift(system, base, xi, kappa: int, *, check: bool = True,
              for v, p in w.items()}
         bound = evaluator.bind(new_ring, w, q)
         gvec = [bound.eval_poly(g) for g in evaluator.system]
-        if check:
-            _assert_valuation(gvec, prec, "residual from previous step")
+        _assert_valuation(gvec, prec, "residual from previous step")
         jmat = [[bound.eval_poly(evaluator.jacobian[k][j]) for j in range(m)]
                 for k in range(m)]
         cut = new_prec - prec - 1
@@ -272,24 +249,23 @@ def newton_hensel_lift(system, base, xi, kappa: int, *, check: bool = True,
         for j in range(m):
             if lam[j]:
                 rho = rho + cvec[j].scale(new_ring.constant(lam[j]))
-        rho = _mod_monic(rho, q)
+        rho = upoly_mod(rho, q)
 
         new_w = {}
         for j in range(m):
             u = w[t + j] - cvec[j]
-            new_w[t + j] = u + _mulmod(u.derivative(), rho, q)
-        q = q + _mulmod(q.derivative(), rho, q)
+            new_w[t + j] = u + upoly_mod(u.derivative() * rho, q)
+        q = q + upoly_mod(q.derivative() * rho, q)
         if not q.is_monic():
             raise LiftingError("lifted minimal polynomial lost monicity")
         w = new_w
         ring = new_ring
         prec = new_prec
 
-        if check:
-            _assert_lambda_consistency(w, lam, q, t, ring)
+        _assert_lambda_consistency(w, lam, q, t, ring)
 
     lifted = LiftedResolution(lam, q, w, ring)
-    if check and final_check and kappa > 0:
+    if final_check and kappa > 0:
         bound = evaluator.bind(ring, w, q)
         gvec = [bound.eval_poly(g) for g in evaluator.system]
         _assert_valuation(gvec, kappa, "final residual")
@@ -313,7 +289,7 @@ def _assert_lambda_consistency(w, lam, q, t: int, ring: SeriesRing) -> None:
         if coeff:
             acc = acc + w[t + j].scale(ring.constant(coeff))
     y = UniPoly((ring.zero(), ring.constant(1)))
-    diff = _mod_monic(acc - y, q)
+    diff = upoly_mod(acc - y, q)
     for coeff in diff.coeffs:
         if coeff:
             raise LiftingError("separating-form consistency lost during lifting")

@@ -99,10 +99,6 @@ class SparsePoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self):
-        """Coefficient of the constant monomial (the poly need not be constant)."""
-        return self.terms.get((0,) * self.nvars, RAT_ZERO)
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

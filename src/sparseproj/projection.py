@@ -7,12 +7,12 @@ specialized system (fiber solve, Newton-Hensel lift, rational
 reconstruction), and finally the projection step that rewrites the
 resolution in terms of a separating form mu on the projected coordinates.
 
-The lift doubles its precision one step at a time.  After each step below
-the cap 2 * MV(S, Delta^(t)) the series are reconstructed at degree bound
-floor(prec / 2), and the first reconstruction that passes an exact
-certificate over Q(X_free) is returned (see ``_certified_early``).  When no
-step below the cap passes, the lift runs to the cap, reconstructs at the
-full degree bound and is audited, as the bound guarantees.
+The lift doubles its precision one step at a time up to the cap
+2 * MV(S, Delta^(t)).  After each step, the cap included, the series are
+reconstructed at degree bound min(floor(prec / 2), MV(S, Delta^(t))), and
+the first reconstruction that passes one exact certificate over Q(X_free),
+``zerodim.audit_parametric``, is returned (see ``_certified``).  A
+candidate refused at the cap is a genericity failure like any other.
 
 All random draws come from one seeded generator and are recorded in the
 result's provenance; any detected failure (non-separating lambda, singular
@@ -27,21 +27,23 @@ import random
 
 from .lifting import LiftingError, SingularJacobian, newton_hensel_lift
 from .linalg import InconsistentSystem, KrylovEchelon
-from .mpoly import SparsePoly
+from .mpoly import SparsePoly, mpoly_gcd, mpoly_lcm
 from .pade import NoValidApproximant, pade, shifted_to_ratfun
 from .polytope import Support, SupportFamily, mixed_volume
-from .rat import RAT_ONE, rat
+from .rat import rat
 from .ratfun import RatFun
 from .series import NonUnitSeries, TruncSeries
 from .supports import DegenerateFamily, VarOrder, family_dim_ok, project_supports, trans_basis
-from .upoly import UniPoly, upoly_gcd, upoly_mod
+from .upoly import UniPoly, upoly_is_squarefree, upoly_mod
 from .zerodim import (
     GeometricResolution,
     LambdaNotSeparating,
     NonGenericInput,
-    compose_parametric,
+    audit_parametric,
     draw_nonzero,
+    field_one,
     linear_form,
+    parametric_identities,
     solve_toric_0d,
 )
 
@@ -62,11 +64,10 @@ class ProjectionProblem:
     """A system with its target projection width and randomness policy."""
 
     __slots__ = ("system", "family", "ell", "seed", "bound", "retry_limit",
-                 "precision", "lam", "mu", "b", "xi")
+                 "lam", "mu", "b", "xi")
 
     def __init__(self, system, ell: int, *, seed: int = 0, bound: int = DEFAULT_BOUND,
-                 retry_limit: int = DEFAULT_RETRIES, precision: int | None = None,
-                 lam=None, mu=None, b=None, xi=None):
+                 retry_limit: int = DEFAULT_RETRIES, lam=None, mu=None, b=None, xi=None):
         system = list(system)
         if not system:
             raise ValueError("empty system")
@@ -86,7 +87,6 @@ class ProjectionProblem:
         self.seed = seed
         self.bound = bound
         self.retry_limit = retry_limit
-        self.precision = precision
         self.lam = tuple(lam) if lam is not None else None
         self.mu = tuple(mu) if mu is not None else None
         self.b = tuple(b) if b is not None else None
@@ -123,10 +123,6 @@ class ProjectionResult:
 
 def _draw_positive(rng, bound: int) -> int:
     return rng.randint(1, bound)
-
-
-def _field_one(t: int):
-    return RatFun.from_const(t, 1) if t else RAT_ONE
 
 
 # -- parametric toric resolution ----------------------------------------------
@@ -166,33 +162,10 @@ def _resolution_from_fractions(q_z, params_z: dict, shift, t: int,
                                rebuild(q_z), params)
 
 
-def _resolution_from_lift(lifted, degree_bound: int, t: int, lam) -> GeometricResolution:
-    """Pade-reconstruct every series coefficient into a RatFun resolution."""
-    q_z, params_z = _shifted_fractions(lifted, degree_bound, t)
-    return _resolution_from_fractions(q_z, params_z, lifted.ring.shift, t, lam)
+def _identities_at_point(q_z, params_z: dict, system, t: int, lam, shift) -> None:
+    """``audit_parametric`` on the candidate specialized at one rational point.
 
-
-def _separating_identity(q: UniPoly, params: dict, lam, t: int) -> bool:
-    """sum_j lam_j v_j = Y modulo q; params keyed t, t+1, ... as lam."""
-    acc = linear_form(params, range(t, t + len(lam)), lam, q, t)
-    return not upoly_mod(acc - UniPoly.y_power(1, _field_one(t)), q)
-
-
-def _certificate_holds(res: GeometricResolution, system, t: int) -> bool:
-    """Exact over Q(X_free): (i) sum_j lam_j v_j = Y and (ii) membership, mod q."""
-    if not _separating_identity(res.q, res.params, res.lam, t):
-        return False
-    try:
-        audit_parametric(res, system, t)
-    except NonGenericInput:
-        return False
-    return True
-
-
-def _identities_at_point(q_z, params_z: dict, system, t: int, lam, shift) -> bool:
-    """Both certificate identities at one rational point, over Q.
-
-    They are identities modulo a monic q, so they survive specialization at
+    The identities hold modulo a monic q, so they survive specialization at
     any point where no denominator vanishes: failing at the point proves the
     candidate wrong, for the price of a few evaluations.  When none of the
     trial points is regular, the decision is left to the exact certificate.
@@ -208,73 +181,63 @@ def _identities_at_point(q_z, params_z: dict, system, t: int, lam, shift) -> boo
             continue
         x = {i: shift[i] + z[i] for i in range(t)}
         fiber = [g.eval_partial(x).reindex(list(range(t, t + m))) for g in system]
-        return (_separating_identity(q0, v0, lam, 0)
-                and not any(compose_parametric(g, 0, v0, q0) for g in fiber))
-    return True
+        audit_parametric(GeometricResolution((), tuple(range(m)), lam, q0, v0), fiber, 0)
+        return
 
 
-def _certified_early(lifted, system, t: int, degree_bound: int, lam):
-    """The reconstruction at ``degree_bound`` if it passes the certificate.
+def _certified(lifted, system, t: int, degree_bound: int, lam) -> GeometricResolution:
+    """The reconstruction of ``lifted`` at ``degree_bound``, certified.
 
-    The certificate (``_certificate_holds``) is exact over Q(X_free):
-    (i) sum_j lam_j v_j = Y and (ii) the membership identity of
-    ``audit_parametric``, both modulo q.  The candidate's q is monic of the
-    fiber's degree, and every Pade denominator is nonzero at xi, so q(xi)
+    The certificate is ``audit_parametric``, exact over Q(X_free), after the
+    same identities at one rational point.  The candidate's q is monic of
+    the fiber's degree, and every Pade denominator is nonzero at xi, so q(xi)
     and v(xi) are the fiber resolution, whose roots are simple.  A candidate
     that passes is then the resolution itself, by Hensel uniqueness at xi,
-    whatever the degree bound was.  Returns None when Pade finds no
-    approximant or a check fails.
+    whatever the degree bound was.  Raises NoValidApproximant when Pade
+    finds no approximant and NonGenericInput when an identity fails.
     """
-    try:
-        q_z, params_z = _shifted_fractions(lifted, degree_bound, t)
-    except NoValidApproximant:
-        return None
+    q_z, params_z = _shifted_fractions(lifted, degree_bound, t)
     shift = lifted.ring.shift
-    if not _identities_at_point(q_z, params_z, system, t, lam, shift):
-        return None
+    _identities_at_point(q_z, params_z, system, t, lam, shift)
     res = _resolution_from_fractions(q_z, params_z, shift, t, lam)
-    return res if _certificate_holds(res, system, t) else None
-
-
-def _lift_and_reconstruct(system, base, xi, t: int, lam, kappa: int,
-                          degree_bound: int, check: bool) -> GeometricResolution:
-    """Lift one doubling at a time; return the first certified reconstruction.
-
-    Below the cap ``kappa`` every step tries Pade at degree bound
-    floor(prec / 2); at the cap the reconstruction uses ``degree_bound`` and
-    is audited when ``check`` is set.  Early results are always certified.
-    """
-    lifted, prec = base, 0
-    while True:
-        prec = min(2 * prec + 1, kappa)
-        lifted = newton_hensel_lift(system, lifted, xi, prec, check=check,
-                                    final_check=prec == kappa)
-        if prec == kappa:
-            break
-        res = _certified_early(lifted, system, t, min(prec // 2, degree_bound), lam)
-        if res is not None:
-            return res
-    res = _resolution_from_lift(lifted, degree_bound, t, lam)
-    if check:
-        audit_parametric(res, system, t)
+    audit_parametric(res, system, t)
     return res
 
 
+def _lift_and_reconstruct(system, base, xi, t: int, lam,
+                          degree_bound: int) -> GeometricResolution:
+    """Lift one doubling at a time; return the first certified reconstruction.
+
+    Every step reconstructs at degree bound min(floor(prec / 2),
+    ``degree_bound``) and certifies the candidate; the cap 2 * degree_bound
+    is the last step, where a refused candidate raises.
+    """
+    cap = 2 * degree_bound
+    lifted, prec = base, 0
+    while True:
+        prec = min(2 * prec + 1, cap)
+        lifted = newton_hensel_lift(system, lifted, xi, prec, final_check=prec == cap)
+        try:
+            return _certified(lifted, system, t, min(prec // 2, degree_bound), lam)
+        except (NoValidApproximant, NonGenericInput):
+            if prec == cap:
+                raise
+
+
 def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
-                             kappa: int | None = None,
                              degree_bound: int | None = None,
                              seed: int = 0, rng=None,
                              bound: int = DEFAULT_BOUND,
-                             retry_limit: int = DEFAULT_RETRIES,
-                             check: bool = True) -> GeometricResolution:
+                             retry_limit: int = DEFAULT_RETRIES) -> GeometricResolution:
     """Geometric resolution of the toric zeros with X_0..X_{t-1} free.
 
     ``system``: m polynomials in t+m variables, free variables first; the
     free block must be algebraically independent modulo the saturated ideal
     (the driver guarantees this via the transcendence basis).  Retries draw
-    only the failing vector; pinned lambda/xi fail immediately.  ``kappa``
-    (default 2 * degree_bound) caps the lift precision; the lift stops at the
-    first precision whose reconstruction passes the exact certificate.
+    only the failing vector; pinned lambda/xi fail immediately.  The lift
+    stops at the first precision whose reconstruction passes the exact
+    certificate, and at the latest at 2 * ``degree_bound`` (by default
+    MV(S, Delta^(t)), see ``lift_precision``).
     """
     system = list(system)
     m = len(system)
@@ -283,13 +246,8 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
     if rng is None:
         rng = random.Random(seed)
 
-    mv = None
-    if kappa is None or degree_bound is None:
-        mv = lift_precision(system, t)
     if degree_bound is None:
-        degree_bound = mv
-    if kappa is None:
-        kappa = 2 * mv
+        degree_bound = lift_precision(system, t)
 
     lam_pinned = lam is not None
     xi_pinned = xi is not None
@@ -301,7 +259,7 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
         if cur_lam is None:
             cur_lam = draw_nonzero(rng, bound, m)
         if t == 0:
-            return solve_toric_0d(system, cur_lam, check=check)
+            return solve_toric_0d(system, cur_lam)
         if cur_xi is None:
             cur_xi = tuple(_draw_positive(rng, bound) for _ in range(t))
         try:
@@ -312,11 +270,10 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
             ]
             if any(not g for g in specialized):
                 raise NonGenericInput("system polynomial vanished at the sample point")
-            base = solve_toric_0d(specialized, cur_lam, check=check)
+            base = solve_toric_0d(specialized, cur_lam)
             if base.degree() == 0:
                 raise NonGenericInput("no toric roots over the sample point")
-            return _lift_and_reconstruct(system, base, cur_xi, t, cur_lam, kappa,
-                                         degree_bound, check)
+            return _lift_and_reconstruct(system, base, cur_xi, t, cur_lam, degree_bound)
         except LambdaNotSeparating as exc:
             failures.append(str(exc))
             if lam_pinned:
@@ -331,14 +288,6 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
                     f"genericity failure with pinned xi: {exc}") from exc
             cur_xi = None
     raise GenericityFailure("genericity failure after retries: " + "; ".join(failures))
-
-
-def audit_parametric(res: GeometricResolution, system, t: int) -> None:
-    """Membership identity f_j(X_free, params(Y)) = 0 mod q, exactly."""
-    for k, g in enumerate(system):
-        if compose_parametric(g, t, res.params, res.q):
-            raise NonGenericInput(
-                f"membership identity failed for equation {k} (reconstruction audit)")
 
 
 # -- projection of a resolution ------------------------------------------------
@@ -367,7 +316,7 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu) -> GeometricReso
     t = len(res.free_vars)
     q = res.q
     D = q.degree()
-    one = _field_one(t)
+    one = field_one(t)
     if D == 0:
         return GeometricResolution(res.free_vars, projected_vars, mu,
                                    UniPoly.const(one),
@@ -421,7 +370,7 @@ def _upoly_squarefree(q: UniPoly, t: int) -> bool:
     if q.degree() <= 0:
         return True
     if t == 0:
-        return upoly_gcd(q, q.derivative()).degree() == 0
+        return upoly_is_squarefree(q)
     for point in ((rat(2),) * t, tuple(rat(3 + i) for i in range(t)),
                   tuple(rat(5 + 2 * i) for i in range(t))):
         try:
@@ -429,15 +378,12 @@ def _upoly_squarefree(q: UniPoly, t: int) -> bool:
                 lambda c: c.evaluate(point) if isinstance(c, RatFun) else rat(c))
         except ZeroDivisionError:
             continue
-        if spec.degree() == q.degree() and \
-                upoly_gcd(spec, spec.derivative()).degree() == 0:
+        if spec.degree() == q.degree() and upoly_is_squarefree(spec):
             return True
     # exact fallback: clear denominators, gcd in Q[X_1..X_t, Y]
     den = SparsePoly.const(t, 1)
     for c in q.coeffs:
         if isinstance(c, RatFun) and not c.den.is_constant():
-            from .mpoly import mpoly_lcm
-
             den = mpoly_lcm(den, c.den)
     terms: dict = {}
     for k in range(q.degree() + 1):
@@ -450,8 +396,6 @@ def _upoly_squarefree(q: UniPoly, t: int) -> bool:
         for e, v in scaled.terms.items():
             terms[e + (k,)] = v
     big = SparsePoly(t + 1, terms)
-    from .mpoly import mpoly_gcd
-
     g = mpoly_gcd(big, big.derivative(t))
     return g.degree_in(t) == 0
 
@@ -479,9 +423,7 @@ def verify_resolution(res: GeometricResolution, context) -> VerificationReport:
     entries = []
     t = len(res.free_vars)
     if isinstance(context, (list, tuple)) and context and isinstance(context[0], SparsePoly):
-        for k, g in enumerate(context):
-            ok = not compose_parametric(g, t, res.params, res.q)
-            entries.append((f"membership f{k + 1}", ok))
+        entries.extend(parametric_identities(res, context, t))
     else:
         parent, projected_vars, mu = context
         q = parent.q
@@ -548,14 +490,13 @@ def q_projection(problem: ProjectionProblem) -> ProjectionResult:
     projected_family = project_supports(family, frame_positions)
     mv = mixed_volume(SupportFamily(
         list(projected_family.members) + [Support.simplex(t + r)] * t))
-    kappa = problem.precision if problem.precision is not None else 2 * mv
     provenance["degree_bound"] = mv
-    provenance["precision"] = kappa
+    provenance["precision"] = 2 * mv
 
     # lambda is drawn (and redrawn on failure) by the parametric step, right
     # after b, unless the problem pins it
     parametric = parametric_toric_geomres(
-        specialized, t, problem.lam, xi=problem.xi, kappa=kappa, degree_bound=mv,
+        specialized, t, problem.lam, xi=problem.xi, degree_bound=mv,
         rng=rng, bound=problem.bound, retry_limit=problem.retry_limit)
     provenance["lambda"] = parametric.lam
 

@@ -10,6 +10,8 @@ genericity failures the drivers catch and retry.
 
 from __future__ import annotations
 
+from .mpoly import SparsePoly, mpoly_gcd
+
 
 class UniPoly:
     __slots__ = ("coeffs",)
@@ -125,13 +127,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
 
-    def eval(self, x):
-        """Horner evaluation; x in the coefficient domain (or coercible)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def map_coeffs(self, fn) -> "UniPoly":
         return UniPoly(tuple(fn(c) for c in self.coeffs))
 
@@ -139,8 +134,8 @@ class UniPoly:
 def upoly_divrem(a: UniPoly, b: UniPoly):
     """Quotient and remainder with deg(rem) < deg(b).
 
-    Divides by lc(b); over a non-field coefficient domain this raises when
-    that coefficient is not invertible.
+    Divides by lc(b), unless b is monic; over a non-field coefficient domain
+    this raises when that coefficient is not invertible.
     """
     if b.is_zero():
         raise ZeroDivisionError("zero divisor")
@@ -195,7 +190,19 @@ def upoly_ext_inv(a: UniPoly, q: UniPoly) -> UniPoly:
     return upoly_mod(t0.map_coeffs(lambda c: c / inv_lead), q)
 
 
+def upoly_coprime(a: UniPoly, b: UniPoly) -> bool:
+    """gcd(a, b) = 1 for polynomials over Q, via the integer primitive PRS.
+
+    The monic Euclidean algorithm over Q suffers severe coefficient growth
+    on the minimal polynomials showing up here; the content-stripped
+    pseudo-remainder sequence keeps the integers bounded.
+    """
+    def sparse(p: UniPoly) -> SparsePoly:
+        return SparsePoly(1, {(k,): c for k, c in enumerate(p.coeffs) if c})
+
+    return mpoly_gcd(sparse(a), sparse(b)).is_constant()
+
+
 def upoly_is_squarefree(q: UniPoly) -> bool:
-    if q.degree() <= 0:
-        return True
-    return upoly_gcd(q, q.derivative()).degree() == 0
+    """Squarefreeness over Q: gcd(q, q') = 1."""
+    return q.degree() <= 0 or upoly_coprime(q, q.derivative())

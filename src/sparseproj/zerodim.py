@@ -14,8 +14,10 @@ NonGenericInput (the saturated ideal is not zero-dimensional, or a computed
 resolution fails its own exactness audit).
 
 The module also holds what the fiber solve and the projection share: the
-composition of a polynomial with a parametrization modulo q, the linear form
-sum c_j v_j modulo q, and the random draw of a separating form.
+identities every resolution must satisfy modulo q (``audit_parametric``,
+which both the fiber audit and the lift's certificate run), the composition
+of a polynomial with a parametrization modulo q, the linear form sum c_j v_j
+modulo q, and the random draw of a separating form.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import random
 
 from .groebner import NotZeroDimensional, buchberger, normal_form, quotient_basis
 from .linalg import KrylovEchelon
-from .mpoly import SparsePoly, mpoly_gcd
+from .mpoly import SparsePoly
 from .rat import RAT_ONE, RAT_ZERO, rat
 from .ratfun import RatFun
-from .upoly import UniPoly, upoly_mod
+from .upoly import UniPoly, upoly_coprime, upoly_is_squarefree, upoly_mod
 
 
 class LambdaNotSeparating(ArithmeticError):
@@ -63,19 +65,6 @@ class GeometricResolution:
     def __repr__(self):
         return (f"GeometricResolution(free={self.free_vars}, dep={self.dep_vars}, "
                 f"lam={self.lam}, deg={self.degree()})")
-
-
-def _unipoly_gcd_primitive(a: UniPoly, b: UniPoly) -> SparsePoly:
-    """gcd of univariate rational polynomials via the integer primitive PRS.
-
-    The monic Euclidean algorithm over Q suffers severe coefficient growth
-    on the minimal polynomials showing up here; the content-stripped
-    pseudo-remainder sequence keeps the integers bounded.
-    """
-    def sparse(p: UniPoly) -> SparsePoly:
-        return SparsePoly(1, {(k,): c for k, c in enumerate(p.coeffs) if c})
-
-    return mpoly_gcd(sparse(a), sparse(b))
 
 
 def _lambda_poly(nvars: int, lam) -> SparsePoly:
@@ -148,7 +137,7 @@ def solve_toric_0d(system, lam, *, check: bool = True) -> GeometricResolution:
         raise LambdaNotSeparating(
             f"lambda not separating: minimal polynomial degree {q.degree()}, "
             f"quotient dimension {dim}")
-    if not _unipoly_gcd_primitive(q, q.derivative()).is_constant():
+    if not upoly_is_squarefree(q):
         raise LambdaNotSeparating("lambda not separating: minimal polynomial "
                                   "not squarefree")
 
@@ -164,22 +153,42 @@ def solve_toric_0d(system, lam, *, check: bool = True) -> GeometricResolution:
 
 
 def audit_0d(res: GeometricResolution, system) -> None:
-    """Exactness audit: membership, saturation and consistency identities."""
-    q = res.q
-    if q.degree() == 0:
+    """Exactness audit: the identities of ``audit_parametric``, and no
+    coordinate vanishing on a root (the roots are toric)."""
+    if res.q.degree() == 0:
         return
-    lam_comb = linear_form(res.params, res.dep_vars, res.lam, q)
-    if upoly_mod(lam_comb - UniPoly((RAT_ZERO, RAT_ONE)), q):
-        raise NonGenericInput("lambda inconsistency in resolution")
-    if not _unipoly_gcd_primitive(q, q.derivative()).is_constant():
-        raise NonGenericInput("minimal polynomial not squarefree")
+    audit_parametric(res, system, 0)
     for v in res.dep_vars:
-        if res.params[v].is_zero() or \
-                not _unipoly_gcd_primitive(res.params[v], q).is_constant():
+        if res.params[v].is_zero() or not upoly_coprime(res.params[v], res.q):
             raise NonGenericInput(f"coordinate {v} vanishes on a root (not toric)")
-    for g in system:
-        if compose_parametric(g, 0, res.params, q):
-            raise NonGenericInput("system polynomial does not vanish on the resolution")
+
+
+def parametric_identities(res: GeometricResolution, system, t: int):
+    """Yield (name, holds) for the identities every resolution satisfies.
+
+    Both are exact modulo q, over Q(X_0..X_{t-1}) (plain Q when t = 0):
+    sum_j lam_j v_j = Y, then f_k(X_free, v(Y)) = 0 for each polynomial of
+    ``system``, whose first t variables are the free ones.
+    """
+    q = res.q
+    lam_comb = linear_form(res.params, res.dep_vars, res.lam, q, t)
+    yield ("sum lambda_j v_j = Y",
+           not upoly_mod(lam_comb - UniPoly.y_power(1, field_one(t)), q))
+    for k, g in enumerate(system):
+        yield f"membership f{k + 1}", not compose_parametric(g, t, res.params, q)
+
+
+def audit_parametric(res: GeometricResolution, system, t: int) -> None:
+    """Raise NonGenericInput naming the first identity of
+    ``parametric_identities`` that fails."""
+    for name, holds in parametric_identities(res, system, t):
+        if not holds:
+            raise NonGenericInput(f"{name} identity failed (resolution audit)")
+
+
+def field_one(t: int):
+    """1 in Q(X_0..X_{t-1}), or in Q when t = 0."""
+    return RatFun.from_const(t, 1) if t else RAT_ONE
 
 
 def compose_parametric(g: SparsePoly, t: int, params: dict, q: UniPoly) -> UniPoly:

@@ -158,13 +158,31 @@ def test_usage_and_parse_errors(files, capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_env_seed_override(files, capsys, monkeypatch):
-    monkeypatch.setenv("SPARSEPROJ_SEED", "7")
-    argv = ["project", files["sys5"], "--lambda", "X5=1", "--mu", "X3=1",
-            "--b", "X4=1", "--xi", "X1=2,X2=3", "--format", "structured"]
-    assert main(argv) == 0
-    via_env = capsys.readouterr().out
-    monkeypatch.delenv("SPARSEPROJ_SEED")
-    assert main(argv + ["--seed", "7"]) == 0
+def test_solve0d_reads_the_file_seed(files, capsys):
+    seeded = files["tmp"] / "fiber3_seed7.txt"
+    seeded.write_text(FIBER_3VAR.replace("l=1\n", "l=1\nseed 7\n", 1))
+    assert main(["solve0d", str(seeded)]) == 0
+    via_file = capsys.readouterr().out
+    assert main(["solve0d", files["fiber3"], "--seed", "7"]) == 0
     via_flag = capsys.readouterr().out
-    assert via_env == via_flag
+    assert main(["solve0d", files["fiber3"]]) == 0
+    unseeded = capsys.readouterr().out
+    assert via_file == via_flag
+    assert via_file != unseeded
+
+
+def test_verify_rejects_a_changed_parent_lambda(files, capsys):
+    res_path = str(files["tmp"] / "res.txt")
+    assert main(["project", files["sys5"], "--lambda", "X5=1", "--mu", "X3=1",
+                 "--b", "X4=1", "--xi", "X1=2,X2=3", "--output", res_path,
+                 "--format", "structured"]) == 0
+    text = open(res_path).read()
+    bad = text.replace("parent_lambda 0 1\n", "parent_lambda 3 1\n")
+    assert bad != text
+    bad_path = str(files["tmp"] / "bad_lambda.txt")
+    open(bad_path, "w").write(bad)
+    capsys.readouterr()
+    assert main(["verify", files["sys5"], bad_path]) == 1
+    out = capsys.readouterr().out
+    assert "parametric sum lambda_j v_j = Y: FAIL" in out
+    assert "parametric membership f1: pass" in out

@@ -48,6 +48,8 @@ def test_parse_system_errors():
         parse_system("system n=1 r=1 l=1\npoly\n0 : x\n")
     with pytest.raises(ParseError, match="poly blocks"):
         parse_system("system n=1 r=2 l=1\npoly\n0 : 1\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_system("system n=2 r=1 l=1\nprecision 30\npoly\n0 1 : 1\n")
 
 
 def test_system_roundtrip():

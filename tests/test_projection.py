@@ -7,6 +7,7 @@ import sparseproj.projection as projection
 from conftest import threevar_fiber, threevar_system, fivevar_specialized, fivevar_system
 from sparseproj.lifting import newton_hensel_lift
 from sparseproj.mpoly import SparsePoly
+from sparseproj.pade import NoValidApproximant
 from sparseproj.projection import (
     GenericityFailure,
     MuNotPrimitive,
@@ -20,7 +21,7 @@ from sparseproj.projection import (
 from sparseproj.rat import rat
 from sparseproj.ratfun import RatFun, ratfun_normalize
 from sparseproj.upoly import UniPoly
-from sparseproj.zerodim import GeometricResolution, solve_toric_0d
+from sparseproj.zerodim import GeometricResolution, NonGenericInput, audit_parametric, solve_toric_0d
 
 
 def F1(num_terms, den_terms=None):
@@ -183,18 +184,19 @@ def test_degree_bound_recorded(res5):
     assert proj.degree() == 5 <= 66
 
 
-class _StopBeforeLift(Exception):
-    pass
+def _refuse(*args):
+    raise NonGenericInput("candidate refused")
 
 
 def test_fivevar_degree_bound_and_precision(monkeypatch):
     """The README five-variable run (b = X4 = 1) lifts with degree bound
     MV(S, Delta^2) = 22 and precision cap 44, under degree cap 66."""
     seen = {}
+    real_geomres = projection.parametric_toric_geomres
 
-    def stop(specialized, t, lam, **kwargs):
+    def recording_geomres(specialized, t, lam, **kwargs):
         seen.update(kwargs, t=t)
-        raise _StopBeforeLift
+        return real_geomres(specialized, t, lam, **kwargs)
 
     mixed_volumes = []
     real_mv = projection.mixed_volume
@@ -203,12 +205,23 @@ def test_fivevar_degree_bound_and_precision(monkeypatch):
         mixed_volumes.append(real_mv(family))
         return mixed_volumes[-1]
 
+    # the lift hands its input back and every candidate is refused, so the
+    # doubling runs through to the cap without computing a series
+    targets = []
+
+    def idle_lift(system, base, xi, kappa, **kwargs):
+        targets.append(kappa)
+        return base
+
     monkeypatch.setattr(projection, "mixed_volume", recording_mv)
-    monkeypatch.setattr(projection, "parametric_toric_geomres", stop)
-    with pytest.raises(_StopBeforeLift):
-        q_projection(ProjectionProblem(fivevar_system(), 3, seed=42, b=(1,)))
+    monkeypatch.setattr(projection, "parametric_toric_geomres", recording_geomres)
+    monkeypatch.setattr(projection, "newton_hensel_lift", idle_lift)
+    monkeypatch.setattr(projection, "_certified", _refuse)
+    with pytest.raises(GenericityFailure, match="pinned xi"):
+        q_projection(ProjectionProblem(fivevar_system(), 3, seed=42, b=(1,), xi=(2, 3)))
     assert mixed_volumes == [66, 22]
-    assert (seen["t"], seen["degree_bound"], seen["kappa"]) == (2, 22, 44)
+    assert (seen["t"], seen["degree_bound"]) == (2, 22)
+    assert targets == [1, 3, 7, 15, 31, 44]
 
 
 # -- early termination of the lift ------------------------------------------------
@@ -234,7 +247,7 @@ def _full_precision(system, t, lam, xi):
     fiber = [g.eval_partial({i: rat(x) for i, x in enumerate(xi)}).reindex(
         list(range(t, t + m))) for g in system]
     lifted = newton_hensel_lift(system, solve_toric_0d(fiber, lam), xi, 2 * mv)
-    return projection._resolution_from_lift(lifted, mv, t, lam)
+    return projection._certified(lifted, system, t, mv, lam)
 
 
 def _small_curves(rng):
@@ -283,27 +296,35 @@ def test_small_curves_early_result_equals_full_precision(monkeypatch):
 
 def test_certificate_rejects_one_changed_coefficient(res3):
     system = threevar_system()
-    assert projection._certificate_holds(res3, system, 1)
+    audit_parametric(res3, system, 1)
     bad_v = dict(res3.params)
     bad_v[1] = UniPoly([res3.params[1][0], res3.params[1][1] + rat(1, 3)])
-    assert not projection._certificate_holds(
-        GeometricResolution(res3.free_vars, res3.dep_vars, res3.lam, res3.q, bad_v),
-        system, 1)
+    with pytest.raises(NonGenericInput):
+        audit_parametric(
+            GeometricResolution(res3.free_vars, res3.dep_vars, res3.lam, res3.q, bad_v),
+            system, 1)
     bad_q = UniPoly([res3.q[0] + rat(1, 3), res3.q[1], res3.q[2]])
-    assert not projection._certificate_holds(
-        GeometricResolution(res3.free_vars, res3.dep_vars, res3.lam, bad_q, res3.params),
-        system, 1)
+    with pytest.raises(NonGenericInput):
+        audit_parametric(
+            GeometricResolution(res3.free_vars, res3.dep_vars, res3.lam, bad_q, res3.params),
+            system, 1)
+    # a changed lambda fails the identity sum lambda_j v_j = Y alone
+    with pytest.raises(NonGenericInput, match="lambda"):
+        audit_parametric(
+            GeometricResolution(res3.free_vars, res3.dep_vars, (3, 1), res3.q, res3.params),
+            system, 1)
 
 
 def test_early_candidate_with_changed_series_is_rejected():
     base = solve_toric_0d(threevar_fiber(), (0, 1))
     lifted = newton_hensel_lift(threevar_system(), base, (1,), 7)
-    good = projection._certified_early(lifted, threevar_system(), 1, 3, (0, 1))
+    good = projection._certified(lifted, threevar_system(), 1, 3, (0, 1))
     assert good is not None
     q1 = lifted.q[1]
     bumped = q1 + q1.ring.from_shifted_poly(SparsePoly(1, {(2,): 1}))
     lifted.q = UniPoly([lifted.q[0], bumped, lifted.q[2]])
-    assert projection._certified_early(lifted, threevar_system(), 1, 3, (0, 1)) is None
+    with pytest.raises((NoValidApproximant, NonGenericInput)):
+        projection._certified(lifted, threevar_system(), 1, 3, (0, 1))
 
 
 def _quartic_system():
@@ -315,12 +336,17 @@ def _quartic_system():
 
 
 def _recording(monkeypatch, name):
+    """Wrap a check that raises NonGenericInput; records True or False."""
     verdicts = []
     real = getattr(projection, name)
 
     def recording(*args):
-        verdicts.append(real(*args))
-        return verdicts[-1]
+        try:
+            real(*args)
+        except NonGenericInput:
+            verdicts.append(False)
+            raise
+        verdicts.append(True)
 
     monkeypatch.setattr(projection, name, recording)
     return verdicts
@@ -335,15 +361,17 @@ def test_point_filter_rejects_candidates_that_pass_pade(monkeypatch):
     assert res.params == full.params
 
 
-@pytest.mark.parametrize("check", [True, False])
-def test_exact_certificate_alone_rejects_wrong_candidates(monkeypatch, check):
+@pytest.mark.parametrize("explicit_bound", [True, False])
+def test_exact_certificate_alone_rejects_wrong_candidates(monkeypatch, explicit_bound):
     # with the one-point filter waved through, the wrong early candidates
     # must fall to the exact certificate, and the loop goes on to the right
-    # answer, whatever check says
-    monkeypatch.setattr(projection, "_identities_at_point", lambda *args: True)
-    verdicts = _recording(monkeypatch, "_certificate_holds")
-    res = parametric_toric_geomres(_quartic_system(), 1, (1,), xi=(1,), check=check)
-    assert verdicts == [False, False]
+    # answer, which the same certificate accepts at the cap, whether the
+    # degree bound is given or taken from lift_precision
+    monkeypatch.setattr(projection, "_identities_at_point", lambda *args: None)
+    verdicts = _recording(monkeypatch, "audit_parametric")
+    kwargs = {"degree_bound": lift_precision(_quartic_system(), 1)} if explicit_bound else {}
+    res = parametric_toric_geomres(_quartic_system(), 1, (1,), xi=(1,), **kwargs)
+    assert verdicts == [False, False, True]
     full = _full_precision(_quartic_system(), 1, (1,), (1,))
     assert res.q == full.q
     assert res.params == full.params
@@ -351,11 +379,36 @@ def test_exact_certificate_alone_rejects_wrong_candidates(monkeypatch, check):
 
 def test_no_certified_step_falls_back_to_the_cap(monkeypatch, res3):
     targets = _record_lift_targets(monkeypatch)
-    monkeypatch.setattr(projection, "_certified_early", lambda *args: None)
+    real = projection._certified
+    full_bound = lift_precision(threevar_system(), 1)
+
+    def below_full_bound_refused(lifted, system, t, degree_bound, lam):
+        if degree_bound < full_bound:
+            _refuse()
+        return real(lifted, system, t, degree_bound, lam)
+
+    monkeypatch.setattr(projection, "_certified", below_full_bound_refused)
     res = parametric_toric_geomres(threevar_system(), 1, (0, 1), xi=(1,))
     assert targets == [1, 3, 7, 12]
     assert res.q == res3.q
     assert res.params == res3.params
+
+
+def test_refused_at_the_cap_with_pinned_xi_is_a_genericity_failure(monkeypatch):
+    targets = _record_lift_targets(monkeypatch)
+    monkeypatch.setattr(projection, "_certified", _refuse)
+    with pytest.raises(GenericityFailure, match="pinned xi"):
+        parametric_toric_geomres(threevar_system(), 1, (0, 1), xi=(1,))
+    assert targets == [1, 3, 7, 12]
+
+
+def test_tooling_names_stay_in_place():
+    # perfbench/worker.py wraps these by name, and a missing one reads 0
+    import sparseproj.lifting as lifting
+
+    for name in ("audit_parametric", "geom_res_proj", "verify_resolution"):
+        assert callable(getattr(projection, name))
+    assert callable(lifting.newton_hensel_lift)
 
 
 # -- lambda draws in the driver -----------------------------------------------------
