@@ -278,42 +278,36 @@ def _upoly_lines(prefix: str, p: UniPoly, labels) -> list[str]:
 def emit_resolution(result) -> str:
     """Canonical ResolutionFile text for a ProjectionResult."""
     order = result.order
-    lines = ["resolution projection"]
-    prov = result.provenance
-    if result.dense_image:
-        lines.append(f"DENSE_IMAGE t={order.t}")
-    lines.append(f"n {len(order.to_original)}")
-    lines.append(f"l {order.ell}")
-    lines.append("free " + " ".join(str(v + 1) for v in order.free_original))
+    view = ParsedResolution()
+    view.dense_image = result.dense_image
+    view.n = len(order.to_original)
+    view.ell = order.ell
+    view.t = order.t
+    view.free = order.free_original
     if not result.dense_image:
-        labels = tuple(f"X{v + 1}" for v in order.free_original)
-        proj_orig = order.projected_original
-        lines.append("projected " + " ".join(str(v + 1) for v in proj_orig))
-        lines.append("mu " + " ".join(str(c) for c in result.mu))
-        res = result.resolution
-        lines.extend(_upoly_lines("q", res.q, labels))
-        for frame_v, orig_v in zip(range(order.t, order.ell), proj_orig):
-            for line in _upoly_lines(f"v {orig_v + 1}", res.params[frame_v], labels):
-                lines.append(line)
-        par = result.parametric
-        dep_orig = order.dependent_original
-        lines.append("parent_dependent " + " ".join(str(v + 1) for v in dep_orig))
-        lines.append("parent_lambda " + " ".join(str(c) for c in par.lam))
-        lines.extend(_upoly_lines("parent_q", par.q, labels))
-        for frame_v, orig_v in zip(range(order.t, order.t + order.r), dep_orig):
-            for line in _upoly_lines(f"parent_w {orig_v + 1}", par.params[frame_v], labels):
-                lines.append(line)
-    for key in sorted(prov):
-        val = prov[key]
-        if isinstance(val, tuple):
-            lines.append(f"provenance {key} " + " ".join(str(x) for x in val))
-        else:
-            lines.append(f"provenance {key} {val}")
-    return "\n".join(lines) + "\n"
+        view.projected = order.projected_original
+        view.mu = result.mu
+        view.resolution = result.resolution
+        view.parent_dependent = order.dependent_original
+        view.parent_lambda = result.parametric.lam
+        view.parametric = result.parametric
+    view.provenance = {
+        key: " ".join(str(x) for x in val) if isinstance(val, tuple) else str(val)
+        for key, val in result.provenance.items()}
+    return view.reemit()
+
+
+# (variables, separating form, q, coordinates) line keys of the two resolutions
+_BLOCKS = (("projected", "mu", "q", "v"),
+           ("parent_dependent", "parent_lambda", "parent_q", "parent_w"))
 
 
 class ParsedResolution:
-    """Structured view of a ResolutionFile, rebuilt into frame objects."""
+    """Structured view of a ResolutionFile, rebuilt into frame objects.
+
+    Provenance values are kept as their text.  ``reemit`` is the one writer
+    of the file layout: ``emit_resolution`` fills a view and calls it.
+    """
 
     __slots__ = ("n", "ell", "dense_image", "t", "free", "projected", "mu",
                  "resolution", "parent_dependent", "parent_lambda", "parametric",
@@ -327,7 +321,7 @@ class ParsedResolution:
         self.provenance = {}
 
     def reemit(self) -> str:
-        """Reproduce the canonical file text (parse . reemit is the identity)."""
+        """The canonical file text (parse . reemit is the identity)."""
         lines = ["resolution projection"]
         if self.dense_image:
             lines.append(f"DENSE_IMAGE t={self.t}")
@@ -336,35 +330,25 @@ class ParsedResolution:
         lines.append("free " + " ".join(str(v + 1) for v in self.free))
         if not self.dense_image:
             labels = tuple(f"X{v + 1}" for v in self.free)
-            lines.append("projected " + " ".join(str(v + 1) for v in self.projected))
-            lines.append("mu " + " ".join(str(c) for c in self.mu))
-            lines.extend(_upoly_lines("q", self.resolution.q, labels))
-            t = self.t
-            for frame_v, orig_v in zip(range(t, t + len(self.projected)),
-                                       self.projected):
-                lines.extend(_upoly_lines(f"v {orig_v + 1}",
-                                          self.resolution.params[frame_v], labels))
-            lines.append("parent_dependent "
-                         + " ".join(str(v + 1) for v in self.parent_dependent))
-            lines.append("parent_lambda "
-                         + " ".join(str(c) for c in self.parent_lambda))
-            lines.extend(_upoly_lines("parent_q", self.parametric.q, labels))
-            for frame_v, orig_v in zip(range(t, t + len(self.parent_dependent)),
-                                       self.parent_dependent):
-                lines.extend(_upoly_lines(f"parent_w {orig_v + 1}",
-                                          self.parametric.params[frame_v], labels))
+            blocks = ((self.projected, self.mu, self.resolution),
+                      (self.parent_dependent, self.parent_lambda, self.parametric))
+            for (vars_key, form_key, q_key, v_key), (variables, form, res) in zip(
+                    _BLOCKS, blocks):
+                lines.append(f"{vars_key} " + " ".join(str(v + 1) for v in variables))
+                lines.append(f"{form_key} " + " ".join(str(c) for c in form))
+                lines.extend(_upoly_lines(q_key, res.q, labels))
+                for frame_v, orig_v in zip(range(self.t, self.t + len(variables)),
+                                           variables):
+                    lines.extend(_upoly_lines(f"{v_key} {orig_v + 1}",
+                                              res.params[frame_v], labels))
         for key in sorted(self.provenance):
-            val = self.provenance[key]
-            lines.append(f"provenance {key} {val}" if val else f"provenance {key}")
+            lines.append(f"provenance {key} {self.provenance[key]}")
         return "\n".join(lines) + "\n"
 
 
 def parse_resolution(text: str) -> ParsedResolution:
     out = ParsedResolution()
-    q_terms: dict[int, str] = {}
-    v_terms: dict[int, dict[int, str]] = {}
-    pq_terms: dict[int, str] = {}
-    pw_terms: dict[int, dict[int, str]] = {}
+    upolys: dict = {}   # (line key, original variable or None) -> {degree: text}
     lines = text.splitlines()
     if not lines or lines[0].strip() != "resolution projection":
         raise ParseError("missing 'resolution projection' header")
@@ -385,36 +369,20 @@ def parse_resolution(text: str) -> ParsedResolution:
         elif key == "free":
             out.free = tuple(int(x) - 1 for x in rest.split())
             out.t = len(out.free)
-        elif key == "projected":
-            out.projected = tuple(int(x) - 1 for x in rest.split())
-        elif key == "mu":
-            out.mu = tuple(int(x) for x in rest.split())
-        elif key == "q":
-            deg, _, expr = rest.partition(":")
-            if deg.strip() != "zero":
-                q_terms[int(deg)] = expr.strip()
-        elif key == "v":
-            parts_v = rest.split(None, 2)
-            if len(parts_v) >= 2 and parts_v[1] != "zero":
-                expr = rest.split(":", 1)[1].strip()
-                v_terms.setdefault(int(parts_v[0]) - 1, {})[int(parts_v[1])] = expr
-            else:
-                v_terms.setdefault(int(parts_v[0]) - 1, {})
-        elif key == "parent_dependent":
-            out.parent_dependent = tuple(int(x) - 1 for x in rest.split())
-        elif key == "parent_lambda":
-            out.parent_lambda = tuple(int(x) for x in rest.split())
-        elif key == "parent_q":
-            deg, _, expr = rest.partition(":")
-            if deg.strip() != "zero":
-                pq_terms[int(deg)] = expr.strip()
-        elif key == "parent_w":
-            parts_w = rest.split(None, 2)
-            if len(parts_w) >= 2 and parts_w[1] != "zero":
-                expr = rest.split(":", 1)[1].strip()
-                pw_terms.setdefault(int(parts_w[0]) - 1, {})[int(parts_w[1])] = expr
-            else:
-                pw_terms.setdefault(int(parts_w[0]) - 1, {})
+        elif key in ("projected", "parent_dependent"):
+            setattr(out, key, tuple(int(x) - 1 for x in rest.split()))
+        elif key in ("mu", "parent_lambda"):
+            setattr(out, key, tuple(int(x) for x in rest.split()))
+        elif key in ("q", "v", "parent_q", "parent_w"):
+            # "q DEG : EXPR" or "q zero"; "v VAR DEG : EXPR" or "v VAR zero"
+            head, _, expr = rest.partition(":")
+            fields = head.split()
+            if len(fields) != (2 if key in ("v", "parent_w") else 1):
+                raise ParseError(f"malformed resolution line {line!r}")
+            var = int(fields[0]) - 1 if len(fields) == 2 else None
+            terms = upolys.setdefault((key, var), {})
+            if fields[-1] != "zero":
+                terms[int(fields[-1])] = expr.strip()
         elif key == "provenance":
             pkey = rest.split(None, 1)[0]
             pval = rest.split(None, 1)[1] if " " in rest else ""
@@ -423,11 +391,17 @@ def parse_resolution(text: str) -> ParsedResolution:
             raise ParseError(f"unknown resolution line {key!r}")
     if out.dense_image:
         return out
+    for vars_key, form_key, _, _ in _BLOCKS:
+        variables, form = getattr(out, vars_key), getattr(out, form_key)
+        if len(form) != len(variables):
+            raise ParseError(f"{form_key} has {len(form)} entries for "
+                             f"{len(variables)} {vars_key} variables")
 
     labels = tuple(f"X{v + 1}" for v in out.free)
     t = out.t
 
-    def build_upoly(terms: dict[int, str]) -> UniPoly:
+    def build_upoly(key: str, var=None) -> UniPoly:
+        terms = upolys.get((key, var))
         if not terms:
             return UniPoly.zero()
         coeffs = [RatFun.from_const(t, 0)] * (max(terms) + 1)
@@ -435,16 +409,13 @@ def parse_resolution(text: str) -> ParsedResolution:
             coeffs[k] = parse_ratfun(expr, labels)
         return UniPoly(coeffs)
 
-    proj_frame = tuple(range(t, t + len(out.projected)))
-    out.resolution = GeometricResolution(
-        tuple(range(t)), proj_frame, out.mu,
-        build_upoly(q_terms),
-        {fv: build_upoly(v_terms.get(ov, {}))
-         for fv, ov in zip(proj_frame, out.projected)})
-    dep_frame = tuple(range(t, t + len(out.parent_dependent)))
-    out.parametric = GeometricResolution(
-        tuple(range(t)), dep_frame, out.parent_lambda,
-        build_upoly(pq_terms),
-        {fv: build_upoly(pw_terms.get(ov, {}))
-         for fv, ov in zip(dep_frame, out.parent_dependent)})
+    def build(variables, form, q_key: str, v_key: str) -> GeometricResolution:
+        frame = tuple(range(t, t + len(variables)))
+        return GeometricResolution(
+            tuple(range(t)), frame, form, build_upoly(q_key),
+            {fv: build_upoly(v_key, ov) for fv, ov in zip(frame, variables)})
+
+    out.resolution = build(out.projected, out.mu, "q", "v")
+    out.parametric = build(out.parent_dependent, out.parent_lambda,
+                           "parent_q", "parent_w")
     return out

@@ -12,9 +12,12 @@ both reduced modulo the current minimal polynomial q,
     q'   = q + (dq/dY * rho mod q)   (roots move by -rho)
     w_j' = u_j + (du_j/dY * rho mod q)
 
-Every step asserts the residual of the previous one (each system polynomial
-composed with the current parametrization vanishes modulo q through the
-trusted degree) and the separating-form consistency sum lambda_j w_j = Y.
+G and J come from ``zerodim.Composition``, the composition the audits run
+over Q(X_free), here over the truncated series at xi; one per step serves
+the system and its Jacobian.  Every step asserts the residual of the
+previous one (each system polynomial composed with the current
+parametrization vanishes modulo q through the trusted degree) and, through
+``zerodim.linear_form``, the separating-form consistency sum lambda_j w_j = Y.
 
 A lift may stop at any precision and resume from the LiftedResolution it
 returned; the doubling schedule, and so every series coefficient, is the same
@@ -33,9 +36,13 @@ solve runs on truncated copies.
 
 from __future__ import annotations
 
+import functools
+
+from .mpoly import SparsePoly
 from .rat import rat
 from .series import NonUnitSeries, SeriesRing, TruncSeries
 from .upoly import UniPoly, upoly_ext_inv, upoly_is_squarefree, upoly_mod
+from .zerodim import Composition, linear_form
 
 
 class SingularJacobian(ArithmeticError):
@@ -71,74 +78,12 @@ def _reringed(p: UniPoly, ring: SeriesRing) -> UniPoly:
                         if isinstance(c, TruncSeries) else c)
 
 
-class _SystemEvaluator:
-    """Evaluates the system and its Jacobian modulo q with shared power tables."""
-
-    def __init__(self, system, t: int, m: int):
-        self.t = t
-        self.m = m
-        self.system = list(system)
-        self.jacobian = [[g.derivative(t + j) for j in range(m)] for g in self.system]
-
-    def bind(self, ring: SeriesRing, w: dict, q: UniPoly):
-        return _BoundEvaluator(self, ring, w, q)
-
-
-class _BoundEvaluator:
-    def __init__(self, ev: _SystemEvaluator, ring: SeriesRing, w: dict, q: UniPoly):
-        self.ev = ev
-        self.ring = ring
-        self.w = w
-        self.q = q
-        self._dep_pow: dict = {}
-        self._free_pow: dict = {}
-        self._dep_pattern: dict = {}
-        self._free_pattern: dict = {}
-
-    def _dep_power(self, j: int, k: int) -> UniPoly:
-        got = self._dep_pow.get((j, k))
-        if got is None:
-            wj = self.w[self.ev.t + j]
-            got = wj if k == 1 else upoly_mod(self._dep_power(j, k - 1) * wj, self.q)
-            self._dep_pow[(j, k)] = got
-        return got
-
-    def _free_power(self, i: int, k: int) -> TruncSeries:
-        got = self._free_pow.get((i, k))
-        if got is None:
-            xi = self.ring.variable(i)
-            got = xi if k == 1 else self._free_power(i, k - 1) * xi
-            self._free_pow[(i, k)] = got
-        return got
-
-    def _dep_part(self, pattern) -> UniPoly:
-        got = self._dep_pattern.get(pattern)
-        if got is None:
-            got = UniPoly.const(self.ring.constant(1))
-            for j, k in enumerate(pattern):
-                if k:
-                    got = upoly_mod(got * self._dep_power(j, k), self.q)
-            self._dep_pattern[pattern] = got
-        return got
-
-    def _free_part(self, pattern) -> TruncSeries:
-        got = self._free_pattern.get(pattern)
-        if got is None:
-            got = self.ring.constant(1)
-            for i, k in enumerate(pattern):
-                if k:
-                    got = got * self._free_power(i, k)
-            self._free_pattern[pattern] = got
-        return got
-
-    def eval_poly(self, g) -> UniPoly:
-        t = self.ev.t
-        acc = UniPoly.zero()
-        for e, c in g.terms.items():
-            factor = self._free_part(e[:t]) * c
-            acc = acc + self._dep_part(e[t:]).map_coeffs(
-                lambda s, f=factor: s * f if isinstance(s, TruncSeries) else f * s)
-        return upoly_mod(acc, self.q)
+def _series_term(ring: SeriesRing):
+    """The free part c * X_free^e of a term as its series at xi in ``ring``:
+    the ``free_part`` of the lift's Composition, one expansion per exponent."""
+    expand = functools.cache(
+        lambda e: ring.expand_poly(SparsePoly.monomial(ring.nvars, e)))
+    return lambda e, c: expand(e) * c
 
 
 def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
@@ -206,7 +151,7 @@ def newton_hensel_lift(system, base, xi, kappa: int, *,
     if any(g.nvars != t + m for g in system):
         raise ValueError("system must live in t+m variables")
 
-    evaluator = _SystemEvaluator(system, t, m)
+    jacobian = [[g.derivative(t + j) for j in range(m)] for g in system]
 
     if isinstance(base, LiftedResolution):
         if base.ring.shift != xi:
@@ -237,19 +182,13 @@ def newton_hensel_lift(system, base, xi, kappa: int, *,
         q = q.map_coeffs(lambda c: c.truncated(new_prec, new_ring))
         w = {v: p.map_coeffs(lambda c: c.truncated(new_prec, new_ring))
              for v, p in w.items()}
-        bound = evaluator.bind(new_ring, w, q)
-        gvec = [bound.eval_poly(g) for g in evaluator.system]
+        compose = Composition(w, q, t, _series_term(new_ring))
+        gvec = [compose(g) for g in system]
         _assert_valuation(gvec, prec, "residual from previous step")
-        jmat = [[bound.eval_poly(evaluator.jacobian[k][j]) for j in range(m)]
-                for k in range(m)]
+        jmat = [[compose(d) for d in row] for row in jacobian]
         cut = new_prec - prec - 1
         cvec = _solve_jacobian(jmat, gvec, q, cut, new_ring)
-
-        rho = UniPoly.zero()
-        for j in range(m):
-            if lam[j]:
-                rho = rho + cvec[j].scale(new_ring.constant(lam[j]))
-        rho = upoly_mod(rho, q)
+        rho = linear_form(dict(enumerate(cvec)), range(m), lam, q)
 
         new_w = {}
         for j in range(m):
@@ -262,12 +201,13 @@ def newton_hensel_lift(system, base, xi, kappa: int, *,
         ring = new_ring
         prec = new_prec
 
-        _assert_lambda_consistency(w, lam, q, t, ring)
+        if upoly_mod(linear_form(w, range(t, t + m), lam, q) - UniPoly.y_power(1), q):
+            raise LiftingError("separating-form consistency lost during lifting")
 
     lifted = LiftedResolution(lam, q, w, ring)
     if final_check and kappa > 0:
-        bound = evaluator.bind(ring, w, q)
-        gvec = [bound.eval_poly(g) for g in evaluator.system]
+        compose = Composition(w, q, t, _series_term(ring))
+        gvec = [compose(g) for g in system]
         _assert_valuation(gvec, kappa, "final residual")
     return lifted
 
@@ -282,14 +222,3 @@ def _assert_valuation(gvec, through: int, what: str) -> None:
             elif coeff:
                 raise LiftingError(f"{what}: equation {k} has a nonzero constant residual")
 
-
-def _assert_lambda_consistency(w, lam, q, t: int, ring: SeriesRing) -> None:
-    acc = UniPoly.zero()
-    for j, coeff in enumerate(lam):
-        if coeff:
-            acc = acc + w[t + j].scale(ring.constant(coeff))
-    y = UniPoly((ring.zero(), ring.constant(1)))
-    diff = upoly_mod(acc - y, q)
-    for coeff in diff.coeffs:
-        if coeff:
-            raise LiftingError("separating-form consistency lost during lifting")

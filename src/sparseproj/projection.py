@@ -322,7 +322,7 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu) -> GeometricReso
                                    UniPoly.const(one),
                                    {v: UniPoly.zero() for v in projected_vars})
 
-    p_mu = linear_form(res.params, projected_vars, mu, q, t)
+    p_mu = linear_form(res.params, projected_vars, mu, q)
     zero = one - one
 
     def vec(p: UniPoly):
@@ -427,7 +427,7 @@ def verify_resolution(res: GeometricResolution, context) -> VerificationReport:
     else:
         parent, projected_vars, mu = context
         q = parent.q
-        p_mu = linear_form(parent.params, projected_vars, mu, q, t)
+        p_mu = linear_form(parent.params, projected_vars, mu, q)
         entries.append(("q_mu(p_mu) = 0 mod q_lambda",
                         not _eval_at_upoly(res.q, p_mu, q)))
         for v in projected_vars:

@@ -13,11 +13,12 @@ data: LambdaNotSeparating (the caller picks a new separating form) and
 NonGenericInput (the saturated ideal is not zero-dimensional, or a computed
 resolution fails its own exactness audit).
 
-The module also holds what the fiber solve and the projection share: the
-identities every resolution must satisfy modulo q (``audit_parametric``,
-which both the fiber audit and the lift's certificate run), the composition
-of a polynomial with a parametrization modulo q, the linear form sum c_j v_j
-modulo q, and the random draw of a separating form.
+The module also holds what the fiber solve, the lift and the projection
+share: the identities every resolution satisfies modulo q
+(``audit_parametric``), the random draw of a separating form, and the
+evaluation of a parametrization v(Y) modulo q over a coefficient domain the
+caller picks (Q, Q(X_free) or the lift's series): ``Composition`` composes
+polynomials with it, and ``linear_form`` forms sum c_j v_j.
 """
 
 from __future__ import annotations
@@ -168,14 +169,16 @@ def parametric_identities(res: GeometricResolution, system, t: int):
 
     Both are exact modulo q, over Q(X_0..X_{t-1}) (plain Q when t = 0):
     sum_j lam_j v_j = Y, then f_k(X_free, v(Y)) = 0 for each polynomial of
-    ``system``, whose first t variables are the free ones.
+    ``system``, whose first t variables are the free ones.  One Composition
+    serves all of them.
     """
     q = res.q
-    lam_comb = linear_form(res.params, res.dep_vars, res.lam, q, t)
+    lam_comb = linear_form(res.params, res.dep_vars, res.lam, q)
     yield ("sum lambda_j v_j = Y",
-           not upoly_mod(lam_comb - UniPoly.y_power(1, field_one(t)), q))
+           not upoly_mod(lam_comb - UniPoly.y_power(1), q))
+    compose = Composition(res.params, q, t, fraction_term(t))
     for k, g in enumerate(system):
-        yield f"membership f{k + 1}", not compose_parametric(g, t, res.params, q)
+        yield f"membership f{k + 1}", not compose(g)
 
 
 def audit_parametric(res: GeometricResolution, system, t: int) -> None:
@@ -191,45 +194,69 @@ def field_one(t: int):
     return RatFun.from_const(t, 1) if t else RAT_ONE
 
 
-def compose_parametric(g: SparsePoly, t: int, params: dict, q: UniPoly) -> UniPoly:
-    """g(X_free, params(Y)) reduced mod q, over Q(X_free) (plain Q when t=0).
+def fraction_term(t: int):
+    """The free part c * X_free^e of a term as an element of Q(X_free), or
+    c itself when t = 0: the ``free_part`` of a Composition over Q(X_free)."""
+    if not t:
+        return lambda e, c: c
+    return lambda e, c: RatFun.from_poly(SparsePoly.monomial(t, e, c))
 
-    The first t variables of g are the free ones; variable t + j is replaced
-    by ``params[t + j]``.
+
+class Composition:
+    """g(X_free, v(Y)) reduced mod q, for polynomials g in t + m variables.
+
+    Variable t + j of g is replaced by ``params[t + j]``, and the free part
+    c * X_free^e of a term by ``free_part(e, c)`` in the coefficient domain
+    of q and the params: a fraction over Q(X_free) in the audits
+    (``fraction_term``), a series at xi in the lift.  Products of powers of
+    the params are cached: one Composition serves a system and its Jacobian.
     """
-    cache: dict = {}
 
-    def dep_power(v: int, k: int) -> UniPoly:
-        got = cache.get((v, k))
+    def __init__(self, params: dict, q: UniPoly, t: int, free_part):
+        self.params = params
+        self.q = q
+        self.t = t
+        self.free_part = free_part
+        self._powers: dict = {}    # (variable, k) -> params[variable]^k mod q
+        self._products: dict = {}  # exponents of the params -> product mod q
+
+    def _power(self, v: int, k: int) -> UniPoly:
+        got = self._powers.get((v, k))
         if got is None:
-            got = params[v] if k == 1 else upoly_mod(dep_power(v, k - 1) * params[v], q)
-            cache[(v, k)] = got
+            got = (self.params[v] if k == 1
+                   else upoly_mod(self._power(v, k - 1) * self.params[v], self.q))
+            self._powers[(v, k)] = got
         return got
 
+    def _product(self, pattern):
+        """prod_j params[t + j]^pattern[j] mod q; None for the empty product."""
+        if pattern not in self._products:
+            got = None
+            for j, k in enumerate(pattern):
+                if k:
+                    p = self._power(self.t + j, k)
+                    got = p if got is None else upoly_mod(got * p, self.q)
+            self._products[pattern] = got
+        return self._products[pattern]
+
+    def __call__(self, g: SparsePoly) -> UniPoly:
+        t = self.t
+        acc = UniPoly.zero()
+        for e, c in g.terms.items():
+            scalar = self.free_part(e[:t], c)
+            dep = self._product(e[t:])
+            acc = acc + (UniPoly.const(scalar) if dep is None
+                         else dep.map_coeffs(lambda s: s * scalar))
+        return upoly_mod(acc, self.q)
+
+
+def linear_form(params: dict, variables, coeffs, q: UniPoly) -> UniPoly:
+    """sum_j coeffs_j * params[variables_j] reduced mod q, for rational
+    coeffs and params over Rat, RatFun or TruncSeries."""
     acc = UniPoly.zero()
-    for e, c in g.terms.items():
-        if t:
-            scalar = RatFun.from_poly(SparsePoly.monomial(t, e[:t], c))
-        else:
-            scalar = c
-        term = UniPoly.const(scalar)
-        for j, k in enumerate(e[t:]):
-            if k:
-                term = upoly_mod(term * dep_power(t + j, k), q)
-        acc = acc + term
-    return upoly_mod(acc, q)
-
-
-def linear_form(params: dict, variables, coeffs, q: UniPoly, t: int = 0) -> UniPoly:
-    """sum_j coeffs_j * params[variables_j] reduced mod q.
-
-    Coefficients are taken in Q(X_0..X_{t-1}) (plain Q when t = 0).
-    """
-    acc = UniPoly.zero()
-    for v, c in zip(variables, coeffs):
+    for v, c in zip(variables, coeffs, strict=True):
         if c:
-            c = RatFun.from_const(t, rat(c)) if t else rat(c)
-            acc = acc + params[v].scale(c)
+            acc = acc + params[v].scale(rat(c))
     return upoly_mod(acc, q)
 
 

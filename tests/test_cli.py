@@ -186,3 +186,23 @@ def test_verify_rejects_a_changed_parent_lambda(files, capsys):
     out = capsys.readouterr().out
     assert "parametric sum lambda_j v_j = Y: FAIL" in out
     assert "parametric membership f1: pass" in out
+
+
+@pytest.mark.parametrize("good,bad", [("parent_lambda 0 1\n", "parent_lambda 0 1 5\n"),
+                                      ("parent_lambda 0 1\n", "parent_lambda 1\n"),
+                                      ("\nmu 1\n", "\nmu 1 9\n")],
+                         ids=["parent_lambda", "parent_lambda_short", "mu"])
+def test_verify_rejects_a_wrong_entry_count(files, capsys, good, bad):
+    res_path = str(files["tmp"] / "res.txt")
+    assert main(["project", files["sys5"], "--lambda", "X5=1", "--mu", "X3=1",
+                 "--b", "X4=1", "--xi", "X1=2,X2=3", "--output", res_path,
+                 "--format", "structured"]) == 0
+    text = open(res_path).read()
+    assert good in text
+    bad_path = str(files["tmp"] / "bad_count.txt")
+    open(bad_path, "w").write(text.replace(good, bad))
+    capsys.readouterr()
+    assert main(["verify", files["sys5"], bad_path]) == 2
+    captured = capsys.readouterr()
+    assert "entries" in captured.err
+    assert "all identities pass" not in captured.out

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import fivevar_system
+from conftest import fivevar_system, threevar_system
 from sparseproj.formats import (
     ParseError,
     emit_resolution,
@@ -100,6 +100,13 @@ def test_resolution_reemit_byte_identity():
     prob = ProjectionProblem(prob.system, prob.ell, seed=42,
                              lam=(0, 1), mu=(1,), b=(1,), xi=(2, 3))
     text = emit_resolution(q_projection(prob))
+    assert parse_resolution(text).reemit() == text
+
+
+def test_resolution_reemit_with_no_specialized_variable():
+    # n = t + r: nothing is specialized, so b is empty
+    text = emit_resolution(q_projection(ProjectionProblem(threevar_system(), 2, seed=3)))
+    assert "\nprovenance b \n" in text
     assert parse_resolution(text).reemit() == text
 
 

@@ -1,11 +1,12 @@
 import pytest
 
 from conftest import threevar_fiber, threevar_system
-from sparseproj.lifting import LiftingError, SingularJacobian, newton_hensel_lift
+from sparseproj.lifting import LiftingError, SingularJacobian, _series_term, newton_hensel_lift
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
 from sparseproj.upoly import UniPoly
-from sparseproj.zerodim import GeometricResolution, solve_toric_0d
+from sparseproj.projection import parametric_toric_geomres
+from sparseproj.zerodim import Composition, GeometricResolution, fraction_term, solve_toric_0d
 
 
 def _series_coeffs(s):
@@ -85,3 +86,16 @@ def test_requires_squarefree_base():
                                {0: UniPoly([rat(0), rat(1)])})
     with pytest.raises(LiftingError):
         newton_hensel_lift(system, base, (1,), 2)
+
+
+def test_one_composition_over_fractions_and_series():
+    # g is not in the system, so both compositions are nonzero
+    g = SparsePoly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
+    res = parametric_toric_geomres(threevar_system(), 1, (0, 1), xi=(1,))
+    over_q = Composition(res.params, res.q, 1, fraction_term(1))(g)
+    lift = lifted_threevar(12)
+    over_series = Composition(lift.params, lift.q, 1, _series_term(lift.ring))(g)
+    assert over_q.degree() == over_series.degree() == 1
+    for k in range(over_q.degree() + 1):
+        c = over_q[k]
+        assert over_series[k] == lift.ring.expand_fraction(c.num, c.den)

@@ -8,9 +8,10 @@ from sparseproj.upoly import UniPoly, upoly_gcd, upoly_mod
 from sparseproj.zerodim import (
     LambdaNotSeparating,
     NonGenericInput,
-    compose_parametric,
+    Composition,
     count_toric_roots,
     draw_nonzero,
+    fraction_term,
     solve_separating,
     solve_toric_0d,
 )
@@ -38,8 +39,9 @@ def test_two_toric_roots():
 def test_membership_and_saturation_invariants():
     system = threevar_fiber()
     res = solve_toric_0d(system, (0, 1))
+    compose = Composition(res.params, res.q, 0, fraction_term(0))
     for g in system:
-        assert compose_parametric(g, 0, res.params, res.q).is_zero()
+        assert compose(g).is_zero()
     for v in res.dep_vars:
         assert upoly_gcd(res.params[v], res.q).degree() == 0
     assert upoly_gcd(res.q, res.q.derivative()).degree() == 0
