@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled polynomial kernels against the pure-Python fallback.
 
 Micro-benchmarks call both kernel modules directly on identical inputs;
 the end-to-end rows rerun a full parametric resolution in a subprocess with
@@ -23,17 +23,6 @@ try:
     from sparseproj import _speedups
 except ImportError:
     _speedups = None
-
-
-def _rand_comps(rng, prec, density=1.0):
-    comps = []
-    for d in range(prec + 1):
-        comp = {}
-        for i in range(d + 1):
-            if rng.random() < density:
-                comp[(i, d - i)] = rat(rng.randint(-99, 99), rng.randint(1, 30))
-        comps.append(comp)
-    return comps
 
 
 def _rand_poly(rng, nvars, terms):
@@ -102,13 +91,6 @@ def main():
 
     rng = random.Random(0)
     rows = []
-
-    for prec in (16, 32, 44):
-        a = _rand_comps(rng, prec)
-        b = _rand_comps(rng, prec)
-        t_py = _time(_kernels_py.series_mul, a, b, prec)
-        t_cy = _time(_speedups.series_mul, a, b, prec)
-        rows.append((f"series_mul prec={prec} dense t=2", t_py, t_cy))
 
     for terms in (30, 150):
         a = _rand_poly(rng, 3, terms)

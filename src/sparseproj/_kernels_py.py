@@ -1,12 +1,19 @@
-"""Pure-Python reference kernels for the hot convolution loops.
+"""Pure-Python convolution kernels for the hot loops.
 
-Exponent vectors are plain int tuples; coefficients are any exact scalar
-supporting ``+``, ``*`` and truthiness (Rat, and in a few call sites whole
-coefficient objects).  The compiled twin in ``_speedups.pyx`` implements the
-same four functions; ``sparseproj.kernels`` picks one at import time.
+Exponent vectors are plain int tuples.  ``poly_mul``, ``poly_addmul`` and
+``poly_mul_trunc`` take any exact scalar supporting ``+``, ``*`` and
+truthiness (Rat, and in a few call sites whole coefficient objects); the
+compiled twins in ``_speedups.pyx`` implement these three, and
+``sparseproj.kernels`` picks one set at import time.  ``series_mul`` takes
+Rat coefficients only and has no compiled twin: it clears denominators and
+convolves Python ints, which beats a compiled loop over Rat products.
 """
 
 from __future__ import annotations
+
+from math import lcm
+
+from .rat import rat
 
 IMPLEMENTATION = "python"
 
@@ -75,35 +82,88 @@ def poly_mul_trunc(a: dict, b: dict, cap: int) -> dict:
     return out
 
 
+# Products of at most this many term pairs multiply the Rat coefficients
+# directly: below it, clearing denominators costs more than the gcds it saves.
+SMALL_PRODUCT = 4
+
+
 def series_mul(ac: list, bc: list, kappa: int) -> list:
     """Convolution of homogeneous-component lists, truncated at degree kappa.
 
-    ``ac``/``bc`` are lists of exponent dicts (index = homogeneous degree).
-    Returns a list of kappa+1 dicts.
+    ``ac``/``bc`` are lists of exponent dicts of Rat coefficients (index =
+    homogeneous degree).  Returns a list of kappa+1 dicts with no zero entry.
+
+    Each operand is written over one common denominator, the lcm of its
+    coefficients' denominators, and its exponents are packed into ints in
+    base kappa+1: no coordinate of a term of degree <= kappa exceeds kappa,
+    so packed sums never carry.  The integer numerators are convolved and
+    every output coefficient is normalised once, as ``rat(N, da*db)``.
     """
-    la, lb = len(ac), len(bc)
-    out = [dict() for _ in range(kappa + 1)]
-    for i in range(min(la, kappa + 1)):
-        ai = ac[i]
-        if not ai:
-            continue
-        jmax = min(lb - 1, kappa - i)
-        for j in range(jmax + 1):
-            bj = bc[j]
-            if not bj:
+    out = [{} for _ in range(kappa + 1)]
+    ac, bc = ac[: kappa + 1], bc[: kappa + 1]
+    pairs = sum(map(len, ac)) * sum(map(len, bc))
+    if not pairs:
+        return out
+    if pairs <= SMALL_PRODUCT:
+        for i, ai in enumerate(ac):
+            if not ai:
                 continue
-            tgt = out[i + j]
-            get = tgt.get
-            for ea, ca in ai.items():
-                for eb, cb in bj.items():
-                    e = tuple(map(sum, zip(ea, eb)))
-                    c = get(e)
-                    if c is None:
-                        tgt[e] = ca * cb
-                    else:
-                        c = c + ca * cb
-                        if c:
-                            tgt[e] = c
+            for j, bj in enumerate(bc[: kappa + 1 - i]):
+                if not bj:
+                    continue
+                tgt = out[i + j]
+                get = tgt.get
+                for ea, ca in ai.items():
+                    for eb, cb in bj.items():
+                        e = tuple(map(sum, zip(ea, eb)))
+                        c = get(e)
+                        if c is None:
+                            tgt[e] = ca * cb
                         else:
-                            del tgt[e]
+                            c = c + ca * cb
+                            if c:
+                                tgt[e] = c
+                            else:
+                                del tgt[e]
+        return out
+    nvars = len(next(e for comp in ac for e in comp))
+    base = kappa + 1
+    a, da = _over_common_denominator(ac, base)
+    b, db = _over_common_denominator(bc, base)
+    acc: dict = {}
+    get = acc.get
+    for i, ai in a:
+        for j, bj in b:
+            if i + j > kappa:
+                break
+            for ka, na in ai:
+                for kb, nb in bj:
+                    k = ka + kb
+                    acc[k] = get(k, 0) + na * nb
+    den = da * db
+    for k, n in acc.items():
+        if n:
+            e = []
+            for _ in range(nvars):
+                k, x = divmod(k, base)
+                e.append(x)
+            out[sum(e)][tuple(e)] = rat(n, den)
     return out
+
+
+def _over_common_denominator(comps: list, base: int):
+    """The nonzero components as ``(degree, [(packed exponent, numerator)])``,
+    every numerator over the lcm of the denominators, and that lcm."""
+    den = lcm(*[c.denominator for comp in comps for c in comp.values()])
+    out = []
+    for d, comp in enumerate(comps):
+        if not comp:
+            continue
+        terms = []
+        for e, c in comp.items():
+            k = 0
+            for x in reversed(e):
+                k = k * base + x
+            terms.append((k, c.numerator * (den // c.denominator)))
+        out.append((d, terms))
+    return out, den

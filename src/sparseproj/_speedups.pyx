@@ -1,8 +1,10 @@
 # cython: language_level=3
-"""Compiled twins of the pure-Python convolution kernels.
+"""Compiled twins of the pure-Python polynomial convolution kernels.
 
 Same contracts as sparseproj._kernels_py; coefficients stay generic Python
 objects (mpq or Fraction), the win is the loop and tuple machinery.
+``series_mul`` has no twin here: the pure-Python one clears denominators and
+convolves ints, which is faster than this loop over Rat products.
 """
 
 from cpython.dict cimport PyDict_GetItem, PyDict_SetItem, PyDict_DelItem
@@ -85,28 +87,3 @@ def poly_mul_trunc(dict a, dict b, long cap):
             _accumulate(out, _tup_add(ea, eb), ca * cb)
     return out
 
-
-def series_mul(list ac, list bc, long kappa):
-    """Convolution of homogeneous-component dict lists, truncated at kappa."""
-    cdef Py_ssize_t la = len(ac), lb = len(bc)
-    cdef list out = [None] * (kappa + 1)
-    cdef Py_ssize_t i, j, jmax
-    cdef dict ai, bj, tgt
-    cdef tuple ea, eb
-    cdef object ca, cb
-    for i in range(kappa + 1):
-        out[i] = {}
-    for i in range(min(la, kappa + 1)):
-        ai = <dict>ac[i]
-        if not ai:
-            continue
-        jmax = min(lb - 1, kappa - i)
-        for j in range(jmax + 1):
-            bj = <dict>bc[j]
-            if not bj:
-                continue
-            tgt = <dict>out[i + j]
-            for ea, ca in ai.items():
-                for eb, cb in bj.items():
-                    _accumulate(tgt, _tup_add(ea, eb), ca * cb)
-    return out

@@ -315,7 +315,6 @@ class ParsedResolution:
 
     def __init__(self):
         self.dense_image = False
-        self.mu = ()
         self.resolution = None
         self.parametric = None
         self.provenance = {}
@@ -349,6 +348,7 @@ class ParsedResolution:
 def parse_resolution(text: str) -> ParsedResolution:
     out = ParsedResolution()
     upolys: dict = {}   # (line key, original variable or None) -> {degree: text}
+    seen: set = set()
     lines = text.splitlines()
     if not lines or lines[0].strip() != "resolution projection":
         raise ParseError("missing 'resolution projection' header")
@@ -362,6 +362,7 @@ def parse_resolution(text: str) -> ParsedResolution:
             continue
         parts = line.split(None, 1)
         key, rest = parts[0], parts[1] if len(parts) > 1 else ""
+        seen.add(key)
         if key == "n":
             out.n = int(rest)
         elif key == "l":
@@ -389,6 +390,12 @@ def parse_resolution(text: str) -> ParsedResolution:
             out.provenance[pkey] = pval
         else:
             raise ParseError(f"unknown resolution line {key!r}")
+    required = ["n", "l", "free"]
+    if not out.dense_image:
+        required += [key for block in _BLOCKS for key in block[:2]]
+    for key in required:
+        if key not in seen:
+            raise ParseError(f"missing {key!r} line")
     if out.dense_image:
         return out
     for vars_key, form_key, _, _ in _BLOCKS:

@@ -1,8 +1,9 @@
 """Kernel backend selection.
 
-Imports the Cython extension ``sparseproj._speedups`` when it has been built,
-otherwise falls back to the pure-Python twin.  ``SPARSEPROJ_PURE=1`` forces
-the fallback (used by the parity tests and the benchmark).
+``poly_mul``, ``poly_addmul`` and ``poly_mul_trunc`` come from the Cython
+extension ``sparseproj._speedups`` when it has been built, otherwise from the
+pure-Python twin; ``SPARSEPROJ_PURE=1`` forces the twin.  ``series_mul`` is
+not selected: the pure-Python fraction-free convolution is the only one.
 """
 
 from __future__ import annotations
@@ -23,4 +24,4 @@ IMPLEMENTATION = _impl.IMPLEMENTATION
 poly_mul = _impl.poly_mul
 poly_addmul = _impl.poly_addmul
 poly_mul_trunc = _impl.poly_mul_trunc
-series_mul = _impl.series_mul
+series_mul = _kernels_py.series_mul

@@ -206,3 +206,30 @@ def test_verify_rejects_a_wrong_entry_count(files, capsys, good, bad):
     captured = capsys.readouterr()
     assert "entries" in captured.err
     assert "all identities pass" not in captured.out
+
+
+@pytest.fixture(scope="module")
+def fivevar_resolution(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fivevar")
+    sys_path, res_path = tmp / "sys5.txt", tmp / "res.txt"
+    sys_path.write_text(SYSTEM_5VAR)
+    assert main(["project", str(sys_path), "--lambda", "X5=1", "--mu", "X3=1",
+                 "--b", "X4=1", "--xi", "X1=2,X2=3", "--output", str(res_path),
+                 "--format", "structured"]) == 0
+    return str(sys_path), res_path.read_text()
+
+
+@pytest.mark.parametrize("key", ["n", "l", "free", "projected", "parent_dependent",
+                                 "parent_lambda"])
+def test_verify_names_a_missing_line(fivevar_resolution, tmp_path, capsys, key):
+    sys_path, text = fivevar_resolution
+    lines = text.splitlines(keepends=True)
+    kept = [line for line in lines if line.split(None, 1)[0] != key]
+    assert len(kept) == len(lines) - 1
+    bad_path = tmp_path / "missing.txt"
+    bad_path.write_text("".join(kept))
+    capsys.readouterr()
+    assert main(["verify", sys_path, str(bad_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"missing {key!r} line" in captured.err
+    assert "all identities pass" not in captured.out

@@ -404,11 +404,16 @@ def test_refused_at_the_cap_with_pinned_xi_is_a_genericity_failure(monkeypatch):
 
 def test_tooling_names_stay_in_place():
     # perfbench/worker.py wraps these by name, and a missing one reads 0
+    import sparseproj.kernels as kernels
     import sparseproj.lifting as lifting
+    import sparseproj.series as series
 
     for name in ("audit_parametric", "geom_res_proj", "verify_resolution"):
         assert callable(getattr(projection, name))
     assert callable(lifting.newton_hensel_lift)
+    # the recorder replaces kernels.series_mul wherever that object is held,
+    # so the series arithmetic must call that very object
+    assert series.series_mul is kernels.series_mul
 
 
 # -- lambda draws in the driver -----------------------------------------------------

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparseproj._kernels_py import SMALL_PRODUCT
+from sparseproj.kernels import series_mul
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
 from sparseproj.series import NonUnitSeries, SeriesRing, TruncSeries
@@ -92,3 +96,100 @@ def test_unit_inverse_roundtrip(sa, sb):
     b = _mk(ring, sb)
     assert a * b == b * a
     assert (a + b) * a == a * a + b * a
+
+
+# -- the fraction-free convolution against the plain one ------------------------
+
+
+def _plain_series_mul(ac, bc, kappa):
+    """The reference: Rat products summed term by term, zeros dropped at the end."""
+    out = [{} for _ in range(kappa + 1)]
+    for i, ai in enumerate(ac[: kappa + 1]):
+        for j, bj in enumerate(bc[: kappa + 1 - i]):
+            for ea, ca in ai.items():
+                for eb, cb in bj.items():
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    out[i + j][e] = out[i + j].get(e, 0) + ca * cb
+    return [{e: c for e, c in comp.items() if c} for comp in out]
+
+
+def _homogeneous(rng, nvars, degree, terms, den):
+    comp = {}
+    for _ in range(terms):
+        cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        e = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, degree]))
+        comp[e] = rat(rng.choice((-1, 1)) * rng.randint(1, 9), den(rng))
+    return comp
+
+
+def _operand(rng, nvars, length, den):
+    """Components 0..length-1, about a third of them empty."""
+    return [{} if rng.random() < 0.3 else
+            _homogeneous(rng, nvars, d, rng.randint(1, 3), den) for d in range(length)]
+
+
+def _pairs(ac, bc, kappa):
+    return (sum(len(c) for c in ac[: kappa + 1]) *
+            sum(len(c) for c in bc[: kappa + 1]))
+
+
+def _small_denominator(rng):
+    return rng.randint(1, 5)
+
+
+def _large_denominator(rng):
+    # unrelated odd denominators of about 90 bits: an operand's lcm is near their product
+    return rng.getrandbits(90) | 1
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_series_mul_matches_the_plain_convolution(nvars):
+    rng = random.Random(nvars)
+    sides = set()
+    for trial in range(80):
+        kappa = rng.randint(0, 6)
+        den = (_small_denominator, _large_denominator)[trial % 2]
+        # lengths from 0 (no component at all) to kappa + 3 (beyond the truncation)
+        a = _operand(rng, nvars, rng.randint(0, kappa + 3), den)
+        b = _operand(rng, nvars, rng.randint(0, kappa + 3), den)
+        if trial % 10 == 0:
+            b = [{} for _ in b]
+        got = series_mul(a, b, kappa)
+        assert got == _plain_series_mul(a, b, kappa)
+        assert len(got) == kappa + 1
+        assert all(c for comp in got for c in comp.values())
+        pairs = _pairs(a, b, kappa)
+        sides.add(0 if not pairs else 1 if pairs <= SMALL_PRODUCT else 2)
+    assert sides == {0, 1, 2}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_series_mul_stores_no_cancelled_term(nvars, size):
+    # (p + q)(p - q) with p in degrees <= 1 and q in degree 3, truncated at 5:
+    # the cross terms in degrees 3 and 4 cancel exactly and q^2 is cut off
+    rng = random.Random(nvars)
+    kappa = 5
+    if size == "small":
+        p = [{}, _homogeneous(rng, nvars, 1, 1, _large_denominator)]
+        q = _homogeneous(rng, nvars, 3, 1, _large_denominator)
+    else:
+        p = [_homogeneous(rng, nvars, d, 3, _large_denominator) for d in (0, 1)]
+        q = _homogeneous(rng, nvars, 3, 3, _large_denominator)
+    plus = [*p, {}, q]
+    minus = [*p, {}, {e: -c for e, c in q.items()}]
+    assert (_pairs(plus, minus, kappa) <= SMALL_PRODUCT) == (size == "small")
+    got = series_mul(plus, minus, kappa)
+    assert got[3] == got[4] == {}
+    assert all(c for comp in got for c in comp.values())
+    assert got == series_mul(p, p, kappa) == _plain_series_mul(p, p, kappa)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_inverse_of_a_unit_with_large_denominators(nvars):
+    rng = random.Random(20 + nvars)
+    ring = SeriesRing(tuple(range(nvars)), (0,) * nvars, 7)
+    comps = _operand(rng, nvars, ring.prec + 1, _large_denominator)
+    comps[0] = {(0,) * nvars: rat(rng.randint(1, 9), _large_denominator(rng))}
+    a = TruncSeries(ring, comps, _clean=True)
+    assert a * a.inverse() == ring.constant(1)
