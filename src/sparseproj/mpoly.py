@@ -12,15 +12,22 @@ Two monomial orders are used:
   normalization and printing,
 * graded reverse lexicographic -- internal order of the Groebner machinery.
 
-The multivariate gcd is a content/primitive-part recursion over a chosen main
-variable with a primitive pseudo-remainder sequence, over integer-cleared
-polynomials.  Its result is the canonical gcd: integer coefficients with
-content 1 and positive graded-lex leading coefficient.
+The gcd's result is the canonical gcd: integer coefficients with content 1
+and positive graded-lex leading coefficient.  Operands in one variable are
+cleared once to dense primitive integer vectors.  Their gcd is certified to be
+1 when the leading coefficients survive reduction modulo the prime 2^61 - 1
+and the images there are coprime: a specialization can only enlarge the gcd
+(Brown, JACM 1971).  Otherwise a primitive pseudo-remainder sequence runs on
+the integer vectors.  Operands in more variables go through a
+content/primitive-part recursion over a chosen main variable with a
+primitive pseudo-remainder sequence, whose content gcds reach the
+one-variable case.
 """
 
 from __future__ import annotations
 
 from math import gcd as int_gcd
+from math import lcm as int_lcm
 
 from .kernels import poly_addmul, poly_mul
 from .rat import RAT_ONE, RAT_ZERO, Rat, rat, rat_str
@@ -393,6 +400,105 @@ def _pseudo_rem(a: dict, b: dict, var: int, nvars: int):
     return r
 
 
+# the prime of the one-variable coprimality certificate
+_PRIME = (1 << 61) - 1
+
+
+def _only_variable(a: SparsePoly, b: SparsePoly):
+    """The one variable a and b both live in, or None when they use more."""
+    if a.nvars == 1:
+        return 0
+    var = None
+    for p in (a, b):
+        for e in p.terms:
+            for v, k in enumerate(e):
+                if k and v != var:
+                    if var is not None:
+                        return None
+                    var = v
+    return var
+
+
+def _primitive(vec: list) -> list:
+    g = int_gcd(*vec)
+    return vec if g == 1 else [c // g for c in vec]
+
+
+def _dense_primitive(p: SparsePoly, var: int) -> list:
+    """p, living in variable ``var``, as a primitive integer vector, lowest
+    degree first."""
+    den = int_lcm(*(int(c.denominator) for c in p.terms.values()))
+    vec = [0] * (p.degree_in(var) + 1)
+    for e, c in p.terms.items():
+        vec[e[var]] = int(c.numerator) * (den // int(c.denominator))
+    return _primitive(vec)
+
+
+def _coprime_mod_prime(a: list, b: list) -> bool:
+    """deg gcd(a mod p, b mod p) = 0, for leading coefficients prime to p."""
+    a = [c % _PRIME for c in a]
+    b = [c % _PRIME for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        db = len(b) - 1
+        inv = pow(b[-1], -1, _PRIME)
+        for k in range(len(a) - 1 - db, -1, -1):
+            top = a[db + k] * inv % _PRIME
+            if top:
+                for i in range(db):
+                    a[k + i] = (a[k + i] - top * b[i]) % _PRIME
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _int_pseudo_rem(a: list, b: list) -> list:
+    """lb^j * a mod b over Z for some j >= 0; vectors lowest degree first."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = r.pop()
+        if top:
+            # r <- lb*r - top*x^k*b, which cancels the dropped term
+            r = [c * lb for c in r]
+            for i in range(db):
+                r[k + i] -= top * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _dense_gcd(a: list, b: list) -> list:
+    """Canonical gcd of nonzero primitive integer vectors: content 1,
+    positive leading coefficient."""
+    ka = next(i for i, c in enumerate(a) if c)
+    kb = next(i for i, c in enumerate(b) if c)
+    a, b = a[ka:], b[kb:]
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1 or (a[-1] * b[-1] % _PRIME and _coprime_mod_prime(a, b)):
+        g = [1]
+    else:
+        while True:
+            r = _int_pseudo_rem(a, b)
+            if not r:
+                g = b
+                break
+            if len(r) == 1:
+                g = [1]
+                break
+            a, b = b, _primitive(r)
+    if g[-1] < 0:
+        g = [-c for c in g]
+    return [0] * min(ka, kb) + g
+
+
 def mpoly_gcd(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     """Canonical gcd: integer coefficients, content 1, positive grlex lead."""
     if a.nvars != b.nvars:
@@ -404,13 +510,19 @@ def mpoly_gcd(a: SparsePoly, b: SparsePoly) -> SparsePoly:
         return b.content_free()
     if not b:
         return a.content_free()
+    if a.is_constant() or b.is_constant():
+        return SparsePoly.const(n, 1)
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        mins = tuple(map(min, _min_exponent(a), _min_exponent(b)))
+        return SparsePoly.monomial(n, mins, 1)
+    var = _only_variable(a, b)
+    if var is not None:
+        g = _dense_gcd(_dense_primitive(a, var), _dense_primitive(b, var))
+        zero = (0,) * n
+        return SparsePoly(n, {zero[:var] + (k,) + zero[var + 1:]: rat(c)
+                              for k, c in enumerate(g) if c}, _clean=True)
     pa = a.content_free()
     pb = b.content_free()
-    if pa.is_constant() or pb.is_constant():
-        return SparsePoly.const(n, 1)
-    if len(pa.terms) == 1 or len(pb.terms) == 1:
-        mins = tuple(map(min, _min_exponent(pa), _min_exponent(pb)))
-        return SparsePoly.monomial(n, mins, 1)
     # main variable: smallest positive min-degree keeps the PRS short
     var = None
     best = None

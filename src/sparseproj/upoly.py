@@ -191,11 +191,13 @@ def upoly_ext_inv(a: UniPoly, q: UniPoly) -> UniPoly:
 
 
 def upoly_coprime(a: UniPoly, b: UniPoly) -> bool:
-    """gcd(a, b) = 1 for polynomials over Q, via the integer primitive PRS.
+    """gcd(a, b) = 1 for polynomials over Q, via ``mpoly_gcd``.
 
     The monic Euclidean algorithm over Q suffers severe coefficient growth
-    on the minimal polynomials showing up here; the content-stripped
-    pseudo-remainder sequence keeps the integers bounded.
+    on the minimal polynomials showing up here.  ``mpoly_gcd`` certifies
+    most coprime pairs by one Euclidean algorithm modulo a prime, and runs
+    the integer primitive PRS, whose content stripping keeps the integers
+    bounded, only when that certificate fails.
     """
     def sparse(p: UniPoly) -> SparsePoly:
         return SparsePoly(1, {(k,): c for k, c in enumerate(p.coeffs) if c})

@@ -10,8 +10,8 @@ rational univariate representation (Rouillier, AAECC 1999).
 
 Detected failure modes are typed so the drivers can retry with fresh random
 data: LambdaNotSeparating (the caller picks a new separating form) and
-NonGenericInput (the saturated ideal is not zero-dimensional, or a computed
-resolution fails its own exactness audit).
+NonGenericInput (the saturated ideal is not zero-dimensional or not
+reduced, or a computed resolution fails its own exactness audit).
 
 The module also holds what the fiber solve, the lift and the projection
 share: the identities every resolution satisfies modulo q
@@ -83,9 +83,12 @@ def solve_toric_0d(system, lam, *, check: bool = True) -> GeometricResolution:
 
     ``system``: m polynomials in m variables; ``lam``: integer coefficients
     of the separating form over those variables.  Raises LambdaNotSeparating
-    unless the minimal polynomial of lambda on the quotient algebra has the
-    algebra's dimension and is squarefree (the degree alone would accept a
-    non-reduced algebra such as Q[x]/(x^2)).
+    when the minimal polynomial of lambda on the quotient algebra has less
+    than the algebra's dimension.  At full degree a minimal polynomial that
+    is not squarefree proves the fiber is not reduced (the algebra has
+    nilpotents, as Q[x]/(x^2) does): every multiplication map of a reduced
+    algebra over Q is semisimple, so no lambda helps, and NonGenericInput
+    is raised instead.
     """
     system = list(system)
     m = system[0].nvars if system else 0
@@ -139,8 +142,8 @@ def solve_toric_0d(system, lam, *, check: bool = True) -> GeometricResolution:
             f"lambda not separating: minimal polynomial degree {q.degree()}, "
             f"quotient dimension {dim}")
     if not upoly_is_squarefree(q):
-        raise LambdaNotSeparating("lambda not separating: minimal polynomial "
-                                  "not squarefree")
+        raise NonGenericInput("fiber not reduced: minimal polynomial of full "
+                              "degree is not squarefree")
 
     # the powers span the quotient, so every coordinate is in their span
     params = {}

@@ -1,7 +1,12 @@
+import random
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparseproj.mpoly as mpoly
 from sparseproj.mpoly import (
     NotDivisible,
     SparsePoly,
@@ -61,6 +66,119 @@ def test_gcd_examples():
     # gcd with zero: primitive part
     assert mpoly_gcd(P(1, {(1,): -6, (0,): -6}), SparsePoly.zero(1)) == \
         P(1, {(1,): 1, (0,): 1})
+
+
+def reference_gcd(a, b):
+    """Euclid over Q on Fraction vectors (lowest degree first), made monic
+    and then cleared to a content-1 integer vector."""
+    a, b = list(a), list(b)
+    while b:
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    monic = [c / a[-1] for c in a]
+    den = lcm(*(c.denominator for c in monic))
+    ints = [int(c * den) for c in monic]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _vector_to_poly(vec, nvars, var):
+    zero = (0,) * nvars
+    return P(nvars, {zero[:var] + (k,) + zero[var + 1:]: c
+                     for k, c in enumerate(vec) if c})
+
+
+def _random_vector(rng, degree):
+    vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree + 1)]
+    if not vec[-1]:
+        vec[-1] = Fraction(1)
+    return vec
+
+
+def _mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("nvars,var", [(1, 0), (2, 1)])
+def test_univariate_gcd_matches_euclid_over_q(nvars, var):
+    rng = random.Random(1009 + var)
+    for _ in range(150):
+        f, g, h = (_random_vector(rng, rng.randint(0, 5)) for _ in range(3))
+        shared = rng.random() < 0.7
+        a = _mul(f, g) if shared else g
+        b = _mul(f, h) if shared else h
+        got = mpoly_gcd(_vector_to_poly(a, nvars, var), _vector_to_poly(b, nvars, var))
+        assert got == _vector_to_poly(reference_gcd(a, b), nvars, var)
+
+
+def test_gcd_with_a_constant_or_a_monomial():
+    p = P(1, {(3,): 1, (2,): rat(-3, 2), (0,): 2})
+    one = P(1, {(0,): 1})
+    assert mpoly_gcd(P(1, {(0,): rat(3, 7)}), p) == one
+    assert mpoly_gcd(p, P(1, {(0,): -4})) == one
+    assert mpoly_gcd(P(1, {(2,): 5}), p) == one
+    assert mpoly_gcd(P(1, {(2,): rat(5, 3)}), p * P(1, {(1,): 1})) == P(1, {(1,): 1})
+    assert mpoly_gcd(P(1, {(2,): 5}), P(1, {(3,): 1, (2,): 1})) == P(1, {(2,): 1})
+
+
+def test_gcd_with_an_unlucky_prime():
+    prime = mpoly._PRIME
+    # modulo the prime both are divisible by X, yet over Q the gcd is 1
+    a = P(1, {(1,): 1, (0,): prime})
+    b = P(1, {(2,): 1, (1,): 1, (0,): prime})
+    assert mpoly_gcd(a, b) == P(1, {(0,): 1})
+    # ... and a shared factor still comes out whole
+    c = P(1, {(1,): 1, (0,): 3})
+    assert mpoly_gcd(a * c, b * c) == c
+
+
+def test_gcd_with_the_prime_dividing_a_leading_coefficient():
+    prime = mpoly._PRIME
+    a = P(1, {(2,): prime, (0,): 1})
+    b = P(1, {(1,): 1, (0,): 1})
+    assert mpoly_gcd(a, b) == P(1, {(0,): 1})
+    c = P(1, {(1,): 2, (0,): -5})
+    assert mpoly_gcd(a * c, b * c) == c
+
+
+def test_gcd_sign_and_content():
+    # -6*X*(X + 1) and 4*(X - 1)*(X + 1)/3: gcd X + 1, content 1, lead > 0
+    a = P(1, {(2,): -6, (1,): -6})
+    b = P(1, {(2,): rat(4, 3), (0,): rat(-4, 3)})
+    g = mpoly_gcd(a, b)
+    assert g == P(1, {(1,): 1, (0,): 1})
+    assert mpoly_gcd(-a, -b) == g
+    # a negative, non-monic shared factor: the gcd is its primitive part, lead > 0
+    c = P(1, {(1,): rat(-4, 9), (0,): rat(2, 3)})
+    assert mpoly_gcd(a * c, b * c) == P(1, {(2,): 2, (1,): -1, (0,): -3})
+
+
+def test_bivariate_gcd_reaches_the_univariate_case(monkeypatch):
+    # (2*X1^2 + 3)*(X2 + X1) and (2*X1^2 + 3)*(X2 - 3)*X1: the contents in X2
+    # live in X1 alone, so their gcd takes the one-variable case
+    calls = []
+    dense_gcd = mpoly._dense_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return dense_gcd(a, b)
+
+    monkeypatch.setattr(mpoly, "_dense_gcd", spy)
+    c = P(2, {(2, 0): 2, (0, 0): 3})
+    a = c * P(2, {(0, 1): 1, (1, 0): 1})
+    b = c * P(2, {(0, 1): 1, (0, 0): -3}) * P(2, {(1, 0): 1})
+    assert mpoly_gcd(a, b) == c
+    assert calls
 
 
 def test_grlex_rendering():

@@ -406,14 +406,20 @@ def test_tooling_names_stay_in_place():
     # perfbench/worker.py wraps these by name, and a missing one reads 0
     import sparseproj.kernels as kernels
     import sparseproj.lifting as lifting
+    import sparseproj.mpoly as mpoly
+    import sparseproj.ratfun as ratfun
     import sparseproj.series as series
+    import sparseproj.upoly as upoly
 
     for name in ("audit_parametric", "geom_res_proj", "verify_resolution"):
         assert callable(getattr(projection, name))
     assert callable(lifting.newton_hensel_lift)
-    # the recorder replaces kernels.series_mul wherever that object is held,
-    # so the series arithmetic must call that very object
+    # the recorder replaces kernels.series_mul and mpoly.mpoly_gcd wherever
+    # those objects are held, so their callers must call those very objects
     assert series.series_mul is kernels.series_mul
+    assert ratfun.mpoly_gcd is mpoly.mpoly_gcd
+    assert upoly.mpoly_gcd is mpoly.mpoly_gcd
+    assert projection.mpoly_gcd is mpoly.mpoly_gcd
 
 
 # -- lambda draws in the driver -----------------------------------------------------
@@ -427,6 +433,18 @@ def test_unpinned_lambda_failure_does_not_blame_a_pin():
         q_projection(ProjectionProblem([f1, f2], 2, seed=218546))
     assert "pinned" not in str(info.value)
     assert "after retries" in str(info.value)
+
+
+def test_fiber_not_reduced_redraws_xi():
+    # at X1 = 4 the fiber of f1 is 9*(2*X3 + 1)^2, not reduced for any lambda;
+    # seed 567109 draws that xi first, and a fresh xi gives a reduced fiber
+    f1 = SparsePoly(3, {(1, 0, 2): 9, (1, 0, 1): 9, (0, 0, 0): 9})
+    f2 = SparsePoly(3, {(2, 1, 2): 2, (2, 0, 2): 7, (0, 0, 0): 2})
+    result = q_projection(ProjectionProblem([f1, f2], 2, seed=567109))
+    frame = list(result.order.to_original[:3])
+    audit_parametric(result.parametric, [g.reindex(frame) for g in (f1, f2)], 1)
+    with pytest.raises(GenericityFailure, match="pinned xi: fiber not reduced"):
+        q_projection(ProjectionProblem([f1, f2], 2, seed=567109, xi=(4,)))
 
 
 def test_provenance_lambda_is_the_parametric_lambda():

@@ -59,9 +59,9 @@ def test_lambda_not_separating_detected_and_policy():
         solve_toric_0d(sysm, (1, 0))
     res = solve_toric_0d(sysm, (1, 2))
     assert res.degree() == 4
-    # squared separable factor
+    # squared separable factor: the fiber is not reduced, no lambda helps
     dbl = SparsePoly(1, {(4,): 1, (3,): -6, (2,): 13, (1,): -12, (0,): 4})
-    with pytest.raises(LambdaNotSeparating):
+    with pytest.raises(NonGenericInput, match="fiber not reduced"):
         solve_toric_0d([dbl], (1,))
 
 
