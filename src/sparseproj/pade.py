@@ -5,18 +5,18 @@ Pade scheme halted at the degree bound; multivariate series are solved as an
 exact homogeneous linear system in the unknown denominator coefficients,
 trying denominator total degrees 0, 1, ... so the returned approximant has
 the minimal denominator degree.  Both return the fraction rewritten in the
-original (un-shifted) variables in canonical form, and both verify the
-residual p - q*s through the series precision, at least 2d, before
-returning: the terms above degree 2d are not used to find the approximant,
-so they test it for free.  ``pade(...,
-shifted=True)`` stops before that rewrite and returns the numerator and
-denominator in the shifted variables Z, which is all a caller needs to
-evaluate the fraction at a point, and costs no gcd.
+original (un-shifted) variables in canonical form.  Both find the
+denominator q from the terms through degree 2d only, and both take the
+numerator from one series product q*s through the series precision, at least
+2d: its terms above degree d must vanish, so the terms above 2d test the
+approximant for free.  ``pade(..., shifted=True)`` stops before that
+rewrite and returns the numerator and denominator in the shifted variables Z,
+which is all a caller needs to evaluate the fraction at a point, and costs no
+gcd.
 """
 
 from __future__ import annotations
 
-from .kernels import poly_mul_trunc
 from .linalg import nullspace
 from .mpoly import SparsePoly
 from .rat import RAT_ONE, RAT_ZERO, rat
@@ -69,10 +69,8 @@ def _pade_univariate_z(s: TruncSeries, degree_bound: int):
         raise ValueError("univariate reconstruction needs a 1-variable series")
     if s.prec < 2 * d:
         raise ValueError(f"precision {s.prec} below 2*degree_bound {2 * d}")
-    coeffs = [s.comps[k].get((k,), RAT_ZERO) for k in range(s.prec + 1)]
-
     r0 = UniPoly.y_power(2 * d + 1, RAT_ONE)
-    r1 = UniPoly(coeffs[: 2 * d + 1])
+    r1 = UniPoly([s.comps[k].get((k,), RAT_ZERO) for k in range(2 * d + 1)])
     t0, t1 = UniPoly.zero(), UniPoly.const(RAT_ONE)
     while r1.degree() > d:
         quo, rem = upoly_divrem(r0, r1)
@@ -81,20 +79,19 @@ def _pade_univariate_z(s: TruncSeries, degree_bound: int):
     num_z, den_z = r1, t1
     if den_z.is_zero() or not den_z[0]:
         raise NoValidApproximant("no valid approximant (denominator vanishes at the shift)")
-    # residual: den*s - num must vanish through the series precision
-    check = den_z * UniPoly(coeffs) - num_z
-    if any(check[k] for k in range(s.prec + 1)):
+    den_z = SparsePoly(1, {(k,): c for k, c in enumerate(den_z.coeffs)})
+    return _residual_numerator(s, den_z, d), den_z
+
+
+def _residual_numerator(s: TruncSeries, den_z: SparsePoly, d: int) -> SparsePoly:
+    """The numerator den_z*s, which must have no term above degree d."""
+    comps = (s.ring.from_shifted_poly(den_z) * s).comps
+    if any(comps[d + 1:]):
         raise NoValidApproximant("residual does not vanish through the series precision")
-
-    return (SparsePoly(1, {(k,): c for k, c in enumerate(num_z.coeffs)}),
-            SparsePoly(1, {(k,): c for k, c in enumerate(den_z.coeffs)}))
-
-
-def _series_coeff_table(s: TruncSeries, through: int) -> dict:
-    table: dict = {}
-    for dcomp in range(min(through, s.prec) + 1):
-        table.update(s.comps[dcomp])
-    return table
+    num: dict = {}
+    for comp in comps[: d + 1]:
+        num.update(comp)
+    return SparsePoly(s.ring.nvars, num, _clean=True)
 
 
 def _monomials(nvars: int, max_deg: int):
@@ -119,8 +116,9 @@ def _pade_multivariate_z(s: TruncSeries, degree_bound: int):
     t = s.ring.nvars
     if s.prec < 2 * d:
         raise ValueError(f"precision {s.prec} below 2*degree_bound {2 * d}")
-    sc = _series_coeff_table(s, 2 * d)
-    s_terms = _series_coeff_table(s, s.prec)
+    sc: dict = {}
+    for comp in s.comps[: 2 * d + 1]:
+        sc.update(comp)
     targets = [e for e in _monomials(t, 2 * d) if d < sum(e)]
     const = (0,) * t
     for e_den in range(d + 1):
@@ -137,11 +135,7 @@ def _pade_multivariate_z(s: TruncSeries, degree_bound: int):
             if vec[const_idx]:
                 den_terms = {u: rat(c) for u, c in zip(unknowns, vec) if c}
                 den_z = SparsePoly(t, den_terms)
-                full = poly_mul_trunc(den_z.terms, s_terms, s.prec)
-                if any(sum(e) > d for e in full):
-                    raise NoValidApproximant(
-                        "residual does not vanish through the series precision")
-                return SparsePoly(t, full, _clean=True), den_z
+                return _residual_numerator(s, den_z, d), den_z
     raise NoValidApproximant("no valid approximant within the degree bound")
 
 

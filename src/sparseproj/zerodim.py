@@ -265,6 +265,8 @@ def linear_form(params: dict, variables, coeffs, q: UniPoly) -> UniPoly:
 
 def draw_nonzero(rng, bound: int, count: int) -> tuple:
     """``count`` integers drawn uniformly from [-bound, bound] without 0."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     out = []
     while len(out) < count:
         x = rng.randint(-bound, bound)

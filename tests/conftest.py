@@ -1,9 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import sparseproj
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
+
+
+def run_guarded(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code args`` against this checkout, failing a hang after 60 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparseproj.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.fixture

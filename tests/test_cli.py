@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import run_guarded
 from sparseproj.cli import main
 
 SUPPORT_3VAR_WITH_SIMPLEX = """\
@@ -233,3 +234,22 @@ def test_verify_names_a_missing_line(fivevar_resolution, tmp_path, capsys, key):
     captured = capsys.readouterr()
     assert f"missing {key!r} line" in captured.err
     assert "all identities pass" not in captured.out
+
+
+CLI = "import sys; from sparseproj.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("how", ["flag", "file", "pinned_project"])
+def test_bound_zero_is_a_usage_error(files, how):
+    if how == "flag":
+        args = ["solve0d", files["fiber3"], "--bound", "0"]
+    elif how == "file":
+        path = files["tmp"] / "fiber3_bound0.txt"
+        path.write_text(FIBER_3VAR.replace("l=1\n", "l=1\nbound 0\n", 1))
+        args = ["solve0d", str(path)]
+    else:
+        # b and xi pinned, so the first draw is the separating form's
+        args = ["project", files["sys3"], "--xi", "X1=2", "--bound", "0"]
+    out = run_guarded(CLI, *args)
+    assert out.returncode == 2, out.stderr
+    assert "bound must be at least 1" in out.stderr

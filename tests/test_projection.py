@@ -404,6 +404,7 @@ def test_refused_at_the_cap_with_pinned_xi_is_a_genericity_failure(monkeypatch):
 
 def test_tooling_names_stay_in_place():
     # perfbench/worker.py wraps these by name, and a missing one reads 0
+    import sparseproj.groebner as groebner
     import sparseproj.kernels as kernels
     import sparseproj.lifting as lifting
     import sparseproj.mpoly as mpoly
@@ -417,6 +418,13 @@ def test_tooling_names_stay_in_place():
     # the recorder replaces kernels.series_mul and mpoly.mpoly_gcd wherever
     # those objects are held, so their callers must call those very objects
     assert series.series_mul is kernels.series_mul
+    # the counted span kernels.poly_mul
+    assert mpoly.poly_mul is kernels.poly_mul
+    assert groebner.poly_addmul is kernels.poly_addmul
+    # and no other kernel
+    assert {name for name, f in vars(kernels).items()
+            if callable(f) and getattr(f, "__module__", None) == kernels.__name__
+            and not name.startswith("_")} == {"poly_mul", "poly_addmul", "series_mul"}
     assert ratfun.mpoly_gcd is mpoly.mpoly_gcd
     assert upoly.mpoly_gcd is mpoly.mpoly_gcd
     assert projection.mpoly_gcd is mpoly.mpoly_gcd

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseproj._kernels_py import SMALL_PRODUCT
-from sparseproj.kernels import series_mul
+from sparseproj.kernels import SMALL_PRODUCT, series_mul
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
 from sparseproj.series import NonUnitSeries, SeriesRing, TruncSeries

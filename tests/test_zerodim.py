@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import threevar_fiber, random_poly
+from conftest import random_poly, run_guarded, threevar_fiber
 from sparseproj.mpoly import SparsePoly
 from sparseproj.polytope import Support, SupportFamily, mixed_volume
 from sparseproj.rat import rat
@@ -78,6 +78,18 @@ def test_separating_retry_draws_in_order():
     assert res.lam == first and res.degree() == 4
     with pytest.raises(LambdaNotSeparating):
         solve_separating(sysm, random.Random(7), 1, 3)
+
+
+def test_draw_nonzero_rejects_an_empty_range():
+    code = ("import random\n"
+            "from sparseproj.zerodim import draw_nonzero\n"
+            "try:\n"
+            "    draw_nonzero(random.Random(0), 0, 2)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    out = run_guarded(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "bound must be at least 1"
 
 
 def test_non_generic_positive_dimensional():
