@@ -1,7 +1,8 @@
 """Exact geometric resolutions of coordinate projections of sparse systems.
 
-The submodules ``rat`` and ``pade`` keep their module names here; their
-functions of the same names are imported from the submodules.
+The submodules ``rat`` and ``pade`` keep their module names here: their
+functions of the same names are not re-exported, so import them from the
+submodules (``from sparseproj.pade import pade``).
 """
 
 from .rat import Rat
@@ -11,7 +12,6 @@ from .upoly import UniPoly, upoly_divrem, upoly_gcd
 from .polytope import Support, SupportFamily, hull_volume, minkowski_sum, mixed_volume, mv_positive
 from .supports import gamma_decomposition, project_supports, trans_basis
 from .series import SeriesRing, TruncSeries
-from .pade import pade_multivariate, pade_univariate
 from .zerodim import GeometricResolution, count_toric_roots, solve_toric_0d
 from .lifting import LiftedResolution, newton_hensel_lift
 from .projection import (
@@ -31,7 +31,7 @@ __all__ = [
     "UniPoly", "upoly_divrem", "upoly_gcd",
     "Support", "SupportFamily", "hull_volume", "minkowski_sum", "mixed_volume",
     "mv_positive", "gamma_decomposition", "project_supports", "trans_basis",
-    "SeriesRing", "TruncSeries", "pade_multivariate", "pade_univariate",
+    "SeriesRing", "TruncSeries",
     "GeometricResolution", "count_toric_roots", "solve_toric_0d",
     "LiftedResolution", "newton_hensel_lift",
     "ProjectionProblem", "ProjectionResult", "geom_res_proj",

@@ -18,7 +18,7 @@ polytope enter through its vertices and never through its k-fold lattice
 points.
 
 The method is exponential in the dimension, which is fine at the intended
-scale; a configurable cap (default 12) rejects larger ambient dimensions.
+scale; ``DIM_CAP`` (12) rejects larger ambient dimensions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from math import comb, factorial, gcd, prod
 
 from .rat import rat
 
-DEFAULT_DIM_CAP = 12
+DIM_CAP = 12
 
 
 class PolytopeError(ValueError):
@@ -297,11 +297,11 @@ def hull_volume_and_corners(points):
     return vol_scaled, sorted(vertices)
 
 
-def hull_volume(s: Support, dim_cap: int = DEFAULT_DIM_CAP):
+def hull_volume(s: Support):
     """Exact Euclidean volume of conv(s.points); 0 when lower-dimensional."""
-    if s.dim > dim_cap:
+    if s.dim > DIM_CAP:
         raise PolytopeError(
-            f"ambient dimension {s.dim} exceeds cap {dim_cap} (exponential method)")
+            f"ambient dimension {s.dim} exceeds cap {DIM_CAP} (exponential method)")
     scaled, _ = hull_volume_and_corners(s.points)
     return rat(scaled, factorial(s.dim))
 
@@ -314,14 +314,14 @@ def minkowski_sum(a: Support, b: Support) -> Support:
     return Support(a.dim, pts)
 
 
-def mixed_volume(family: SupportFamily, dim_cap: int = DEFAULT_DIM_CAP) -> int:
+def mixed_volume(family: SupportFamily) -> int:
     """Normalized mixed volume of a square family (MV of n simplices = 1)."""
     n = family.dim
     if len(family.members) != n:
         raise PolytopeError("square family required")
-    if n > dim_cap:
+    if n > DIM_CAP:
         raise PolytopeError(
-            f"ambient dimension {n} exceeds cap {dim_cap} (exponential method)")
+            f"ambient dimension {n} exceeds cap {DIM_CAP} (exponential method)")
 
     normalized = tuple(sorted(
         (m.translate_to_origin().points for m in family.members),
@@ -366,6 +366,6 @@ def _mixed_volume_normalized(n: int, normalized) -> int:
     return mv
 
 
-def mv_positive(family: SupportFamily, dim_cap: int = DEFAULT_DIM_CAP) -> bool:
+def mv_positive(family: SupportFamily) -> bool:
     """True iff the normalized mixed volume is positive."""
-    return mixed_volume(family, dim_cap) > 0
+    return mixed_volume(family) > 0

@@ -33,7 +33,7 @@ from .polytope import Support, SupportFamily, mixed_volume
 from .rat import rat
 from .ratfun import RatFun
 from .series import NonUnitSeries, TruncSeries
-from .supports import DegenerateFamily, VarOrder, family_dim_ok, project_supports, trans_basis
+from .supports import VarOrder, project_supports, trans_basis
 from .upoly import UniPoly, upoly_is_squarefree, upoly_mod
 from .zerodim import (
     GeometricResolution,
@@ -122,6 +122,8 @@ class ProjectionResult:
 
 
 def _draw_positive(rng, bound: int) -> int:
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     return rng.randint(1, bound)
 
 
@@ -145,7 +147,7 @@ def lift_precision(system, t: int) -> int:
 def _shifted_fractions(lifted, degree_bound: int, t: int):
     """Pade fractions (num, den) in the shifted variables, for q and params."""
     def fractions(upoly: UniPoly):
-        return [pade(c, degree_bound, shifted=True) if isinstance(c, TruncSeries)
+        return [pade(c, degree_bound) if isinstance(c, TruncSeries)
                 else (SparsePoly.const(t, c), SparsePoly.const(t, 1))
                 for c in upoly.coeffs]
 
@@ -450,9 +452,6 @@ def q_projection(problem: ProjectionProblem) -> ProjectionResult:
     n, r, ell = problem.n, problem.r, problem.ell
     rng = random.Random(problem.seed)
     family = problem.family
-    if not family_dim_ok(family):
-        raise DegenerateFamily("degenerate support family (empty toric variety)")
-
     tb = trans_basis(family)
     order = VarOrder(tb, n, r, ell)
     t = order.t

@@ -34,7 +34,7 @@ class DegenerateFamily(ValueError):
     pass
 
 
-DEFAULT_GAMMA_CAP = 20
+GAMMA_CAP = 20
 
 
 def project_supports(family: SupportFamily, keep) -> SupportFamily:
@@ -46,15 +46,18 @@ def project_supports(family: SupportFamily, keep) -> SupportFamily:
                           for m in family.members])
 
 
-def family_dim_ok(family: SupportFamily) -> bool:
-    """Standing hypothesis: dim(sum of any subfamily) >= its size."""
-    r = len(family.members)
-    for size in range(1, r + 1):
-        for subset in combinations(range(r), size):
-            pts = {(0,) * family.dim}
-            for j in subset:
-                pts = {tuple(x + y for x, y in zip(p, q))
-                       for p in pts for q in family.members[j].points}
+def family_dim_ok(supports) -> bool:
+    """Standing hypothesis: dim(sum of any subfamily) >= its size.
+
+    ``supports`` is any sequence of Supports of one dimension (a
+    SupportFamily included); an empty one passes.
+    """
+    supports = list(supports)
+    for size in range(1, len(supports) + 1):
+        for subset in combinations(supports, size):
+            pts = {(0,) * subset[0].dim}
+            for s in subset:
+                pts = {tuple(x + y for x, y in zip(p, q)) for p in pts for q in s.points}
             if affine_rank(pts) < size:
                 return False
     return True
@@ -142,18 +145,7 @@ def _gamma_data(family: SupportFamily, zero_set: frozenset):
     return tuple(active), projected
 
 
-def _gamma_dim_condition(projected) -> bool:
-    for size in range(1, len(projected) + 1):
-        for subset in combinations(projected, size):
-            pts = [tuple([0] * subset[0].dim)]
-            for s in subset:
-                pts = [tuple(x + y for x, y in zip(p, q)) for p in pts for q in s.points]
-            if affine_rank(set(pts)) < size:
-                return False
-    return True
-
-
-def gamma_decomposition(family: SupportFamily, cap: int = DEFAULT_GAMMA_CAP):
+def gamma_decomposition(family: SupportFamily):
     """All subsets I in Gamma, the cover index of the toric decomposition.
 
     A subset qualifies when (a) every subfamily of the projected surviving
@@ -162,8 +154,8 @@ def gamma_decomposition(family: SupportFamily, cap: int = DEFAULT_GAMMA_CAP):
     subsets (including the empty one).
     """
     n = family.dim
-    if n > cap:
-        raise PolytopeError(f"ambient dimension {n} exceeds gamma cap {cap}")
+    if n > GAMMA_CAP:
+        raise PolytopeError(f"ambient dimension {n} exceeds gamma cap {GAMMA_CAP}")
     sizes = {}
     data = {}
     subsets = []
@@ -177,7 +169,7 @@ def gamma_decomposition(family: SupportFamily, cap: int = DEFAULT_GAMMA_CAP):
     out = []
     for zs in subsets:
         active, projected = data[zs]
-        if len(zs) < n and not _gamma_dim_condition(projected):
+        if len(zs) < n and not family_dim_ok(projected):
             continue
         if len(zs) == n and active:
             # no variables survive but some equation does: f_I has a nonzero

@@ -239,7 +239,7 @@ def test_verify_names_a_missing_line(fivevar_resolution, tmp_path, capsys, key):
 CLI = "import sys; from sparseproj.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-@pytest.mark.parametrize("how", ["flag", "file", "pinned_project"])
+@pytest.mark.parametrize("how", ["flag", "file", "pinned_project", "unpinned_project"])
 def test_bound_zero_is_a_usage_error(files, how):
     if how == "flag":
         args = ["solve0d", files["fiber3"], "--bound", "0"]
@@ -247,9 +247,12 @@ def test_bound_zero_is_a_usage_error(files, how):
         path = files["tmp"] / "fiber3_bound0.txt"
         path.write_text(FIBER_3VAR.replace("l=1\n", "l=1\nbound 0\n", 1))
         args = ["solve0d", str(path)]
-    else:
+    elif how == "pinned_project":
         # b and xi pinned, so the first draw is the separating form's
         args = ["project", files["sys3"], "--xi", "X1=2", "--bound", "0"]
+    else:
+        # nothing pinned, so the first draw is b's
+        args = ["project", files["sys5"], "--bound", "0"]
     out = run_guarded(CLI, *args)
     assert out.returncode == 2, out.stderr
     assert "bound must be at least 1" in out.stderr

@@ -1,6 +1,6 @@
 import pytest
 
-from sparseproj.linalg import InconsistentSystem, KrylovEchelon, nullspace
+from sparseproj.linalg import InconsistentSystem, KrylovEchelon
 from sparseproj.rat import rat
 
 
@@ -45,13 +45,12 @@ def test_solve_underdetermined_sets_free_to_zero():
     assert kry.solve([rat(4)]) == [rat(4)]
 
 
-def test_nullspace():
-    a = R([[1, 2, 3]])
-    basis = nullspace(a, 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert sum(x * v for x, v in zip(a[0], vec)) == 0
-    assert nullspace(R([[1, 0], [0, 1]]), 2) == []
+def test_adds_after_a_dependency():
+    # a dependent vector is not kept, and a later relation is over the
+    # independent vectors kept so far: (3, 3) = 3 (1, 0) + 3 (0, 1)
+    kry = KrylovEchelon(rat(1))
+    assert [kry.add(v) for v in R([[1, 0], [2, 0], [0, 1], [3, 3]])] == \
+        [None, [rat(2)], None, [rat(3), rat(3)]]
 
 
 def test_ratfun_entries():

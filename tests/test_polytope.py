@@ -158,11 +158,11 @@ def test_mv_diagonal(rng):
 
 
 def test_dimension_cap():
-    with pytest.raises(PolytopeError):
-        hull_volume(Support(13, [(0,) * 13]), dim_cap=12)
-    d = Support.simplex(3)
-    with pytest.raises(PolytopeError):
-        mixed_volume(SupportFamily([d, d, d]), dim_cap=2)
+    with pytest.raises(PolytopeError, match="exceeds cap 12"):
+        hull_volume(Support(13, [(0,) * 13]))
+    d = Support.simplex(13)
+    with pytest.raises(PolytopeError, match="exceeds cap 12"):
+        mixed_volume(SupportFamily([d] * 13))
 
 
 # -- vertices of the hull ----------------------------------------------------------

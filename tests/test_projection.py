@@ -404,6 +404,9 @@ def test_refused_at_the_cap_with_pinned_xi_is_a_genericity_failure(monkeypatch):
 
 def test_tooling_names_stay_in_place():
     # perfbench/worker.py wraps these by name, and a missing one reads 0
+    import types
+
+    import sparseproj
     import sparseproj.groebner as groebner
     import sparseproj.kernels as kernels
     import sparseproj.lifting as lifting
@@ -414,6 +417,10 @@ def test_tooling_names_stay_in_place():
 
     for name in ("audit_parametric", "geom_res_proj", "verify_resolution"):
         assert callable(getattr(projection, name))
+    # the span pade.pade wraps the function the module holds, so the package
+    # must not shadow the module with it, and projection must call it by name
+    assert isinstance(sparseproj.pade, types.ModuleType)
+    assert projection.pade is sparseproj.pade.pade
     assert callable(lifting.newton_hensel_lift)
     # the recorder replaces kernels.series_mul and mpoly.mpoly_gcd wherever
     # those objects are held, so their callers must call those very objects
