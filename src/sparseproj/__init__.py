@@ -9,7 +9,7 @@ from .rat import Rat
 from .mpoly import SparsePoly, mpoly_gcd
 from .ratfun import RatFun, ratfun_normalize
 from .upoly import UniPoly, upoly_divrem, upoly_gcd
-from .polytope import Support, SupportFamily, hull_volume, minkowski_sum, mixed_volume, mv_positive
+from .polytope import Support, SupportFamily, hull_volume, minkowski_sum, mixed_volume
 from .supports import gamma_decomposition, project_supports, trans_basis
 from .series import SeriesRing, TruncSeries
 from .zerodim import GeometricResolution, count_toric_roots, solve_toric_0d
@@ -30,7 +30,7 @@ __all__ = [
     "Rat", "SparsePoly", "mpoly_gcd", "RatFun", "ratfun_normalize",
     "UniPoly", "upoly_divrem", "upoly_gcd",
     "Support", "SupportFamily", "hull_volume", "minkowski_sum", "mixed_volume",
-    "mv_positive", "gamma_decomposition", "project_supports", "trans_basis",
+    "gamma_decomposition", "project_supports", "trans_basis",
     "SeriesRing", "TruncSeries",
     "GeometricResolution", "count_toric_roots", "solve_toric_0d",
     "LiftedResolution", "newton_hensel_lift",

@@ -8,28 +8,40 @@ zero, so degenerate inputs cost nothing but bookkeeping).  The boundary of
 that triangulation also holds points inside faces; a boundary point is kept
 as a vertex only when the primitive facet normals tight at it have full rank.
 
-The normalized mixed volume is the inclusion-exclusion alternating sum of
-Minkowski sum volumes, scaled so that MV of n standard simplices is 1;
-equivalently it is the generic toric root count of Bernstein's theorem.
-Equal members (after translation to the origin) are grouped: the sum runs
-over multiplicity vectors with binomial weights, and each Minkowski sum is
-built from the vertices of one with a summand fewer, so k copies of a
-polytope enter through its vertices and never through its k-fold lattice
-points.
+The normalized mixed volume (MV of n standard simplices is 1; equivalently
+the generic toric root count of Bernstein's theorem) is the sum of |det| over
+the fine mixed cells of a generic lifting (Huber-Sturmfels, Math. Comp. 1995;
+Emiris-Canny, JSC 1995).  Equal members (after translation to the origin) are
+one polytope P_i of multiplicity k_i, reduced to its vertices.  Every vertex
+gets an integer height from a generator seeded with a module constant, and a
+depth-first search picks k_i + 1 vertices of each P_i, pruning a branch as
+soon as its edge vectors become linearly dependent.  At each leaf one
+fraction-free solve gives the normal of the lifted face through the chosen
+vertices; the leaf is a mixed cell when every other vertex lies strictly
+above it.  A leaf with no vertex below and one level with it shows that the
+lifting is not generic: the next lifting is drawn from the same generator,
+and a fixed number of such draws raises PolytopeError.  Without a tie every
+lower facet of the lifted sum whose share of the mixed volume is positive is
+a fine mixed cell, so the sum is exact: an integer that does not depend on
+the lifting.
 
-The method is exponential in the dimension, which is fine at the intended
+The search is exponential in the dimension, which is fine at the intended
 scale; ``DIM_CAP`` (12) rejects larger ambient dimensions.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
-from itertools import product
-from math import comb, factorial, gcd, prod
+from math import factorial, gcd
 
 from .rat import rat
 
 DIM_CAP = 12
+# Every mixed volume draws its liftings from a generator seeded with this
+# constant, so a family costs the same work in every process.
+_LIFT_SEED = 1995
+_LIFT_DRAWS = 8
 
 
 class PolytopeError(ValueError):
@@ -326,46 +338,140 @@ def mixed_volume(family: SupportFamily) -> int:
     normalized = tuple(sorted(
         (m.translate_to_origin().points for m in family.members),
         key=lambda s: sorted(s)))
-    return _mixed_volume_normalized(n, normalized)
+    return _mixed_volume_normalized(normalized)
 
 
 # Memoised per process on the translated supports; the size bound keeps a
 # long-running process from holding every family it ever saw.
 @lru_cache(maxsize=128)
-def _mixed_volume_normalized(n: int, normalized) -> int:
-    # Equal translated members are one polytope P_i of multiplicity m_i, and
-    # the subsets of the family with j_i copies of each P_i all have the sum
-    # sum_i j_i P_i: inclusion-exclusion runs over 0 <= j <= m with weight
-    # prod_i C(m_i, j_i), each sum built from the vertices of a smaller one.
+def _mixed_volume_normalized(normalized) -> int:
+    # Equal translated members are one polytope P_i of multiplicity k_i, and a
+    # fine mixed cell takes k_i + 1 of its vertices.
     distinct = list(dict.fromkeys(normalized))
     mult = [normalized.count(pts) for pts in distinct]
     members = [hull_volume_and_corners(pts)[1] for pts in distinct]
-
-    zero = (0,) * len(distinct)
-    sums = {zero: [(0,) * n]}      # multiplicity vector -> vertices of its sum
-    total = 0
-    fact = factorial(n)
-    for j in product(*(range(m + 1) for m in mult)):
-        if j == zero:
-            continue
-        # of the sums one summand smaller, extend the one with the fewest
-        # pairwise vertex sums
-        i, pred = min(((i, j[:i] + (j[i] - 1,) + j[i + 1:])
-                       for i, j_i in enumerate(j) if j_i),
-                      key=lambda step: len(members[step[0]]) * len(sums[step[1]]))
-        scaled, sums[j] = hull_volume_and_corners(
-            {tuple(x + y for x, y in zip(p, q)) for p in sums[pred] for q in members[i]})
-        weight = prod(comb(m_i, j_i) for m_i, j_i in zip(mult, j))
-        sign = 1 if (n - sum(j)) % 2 == 0 else -1
-        total += sign * weight * scaled
-    if total % fact:
-        raise PolytopeError("inclusion-exclusion did not produce an integer")
-    mv = total // fact
-    if mv < 0:
-        raise PolytopeError("negative mixed volume (internal error)")
-    return mv
+    rng = random.Random(_LIFT_SEED)
+    for _ in range(_LIFT_DRAWS):
+        heights = _draw_lifting(rng, members)
+        total = 0
+        for cell, rows in _candidate_cells(members, mult):
+            volume = _cell_volume(members, heights, cell, rows)
+            if volume is None:
+                break
+            total += volume
+        else:
+            return total
+    raise PolytopeError(f"no generic lifting in {_LIFT_DRAWS} draws")
 
 
-def mv_positive(family: SupportFamily) -> bool:
-    """True iff the normalized mixed volume is positive."""
-    return mixed_volume(family) > 0
+def _draw_lifting(rng, members):
+    """One integer height per point of every member."""
+    return [[rng.randrange(1 << 30) for _ in pts] for pts in members]
+
+
+def _candidate_cells(members, mult):
+    """Yield (cell, rows) for every choice of mult[i] + 1 points of each member
+    whose edge vectors c - c_0 are linearly independent.
+
+    ``cell`` holds one index tuple per member, base point c_0 first, and
+    ``rows`` the n edge vectors in the same order.  A branch is pruned as soon
+    as its edges become dependent.
+    """
+    cell = []
+    rows = []
+    echelon = []
+
+    def choose(i, chosen, left):
+        if not left:
+            cell.append(chosen)
+            if i + 1 == len(members):
+                yield tuple(cell), tuple(rows)
+            else:
+                yield from start(i + 1)
+            cell.pop()
+            return
+        pts = members[i]
+        c0 = pts[chosen[0]]
+        for j in range(chosen[-1] + 1, len(pts) - left + 1):
+            edge = tuple(x - y for x, y in zip(pts[j], c0))
+            reduced = _echelon_reduce(echelon, edge)
+            if reduced is None:
+                continue
+            rows.append(edge)
+            echelon.append(reduced)
+            yield from choose(i, chosen + (j,), left - 1)
+            echelon.pop()
+            rows.pop()
+
+    def start(i):
+        for b in range(len(members[i]) - mult[i]):
+            yield from choose(i, (b,), mult[i])
+
+    yield from start(0)
+
+
+def _echelon_reduce(echelon, v):
+    """(pivot, primitive row) of v reduced by the echelon rows, None if v
+    lies in their span.  Each row has zeros at the pivots of the rows before
+    it, so one pass in insertion order clears every pivot."""
+    for p, r in echelon:
+        f = v[p]
+        if f:
+            rp = r[p]
+            v = [rp * x - f * y for x, y in zip(v, r)]
+    for p, x in enumerate(v):
+        if x:
+            g = gcd(*v)
+            return p, [y // g for y in v]
+    return None
+
+
+def _int_solve(rows, rhs):
+    """Fraction-free Gauss-Jordan (Bareiss) solve of a nonsingular system.
+
+    Returns (d, y) with d = +-det(rows) and solution y / d.
+    """
+    n = len(rows)
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            i = next(i for i in range(k + 1, n) if m[i][k])
+            m[k], m[i] = m[i], m[k]
+        top = m[k]
+        pk = top[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(x * pk - f * t) // prev for x, t in zip(m[i], top)]
+        prev = pk
+    return prev, [row[n] for row in m]
+
+
+def _cell_volume(members, heights, cell, rows):
+    """|det| of the edges if the candidate is a lower facet of the lifted
+    Minkowski sum, 0 if some point lies below it, None on a tie.
+
+    The facet's inner normal (alpha, 1) has <alpha, c - c_0> equal to
+    omega(c_0) - omega(c) on every edge; a point a of member i lies above
+    when omega(a) + <alpha, a> exceeds the level of that member's c_0.  With
+    no point below but one level with the facet the lifting is not generic.
+    """
+    rhs = []
+    for chosen, h in zip(cell, heights):
+        rhs.extend(h[chosen[0]] - h[j] for j in chosen[1:])
+    d, y = _int_solve(rows, rhs)
+    sign = 1 if d > 0 else -1
+    tie = False
+    for chosen, pts, h in zip(cell, members, heights):
+        c0 = pts[chosen[0]]
+        base = d * h[chosen[0]] + sum(a * b for a, b in zip(y, c0))
+        for j, a in enumerate(pts):
+            if j in chosen:
+                continue
+            gap = sign * (d * h[j] + sum(u * v for u, v in zip(y, a)) - base)
+            if gap < 0:
+                return 0
+            if not gap:
+                tie = True
+    return None if tie else abs(d)

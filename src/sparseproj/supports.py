@@ -5,8 +5,9 @@ Three pieces live here:
 * the greedy transcendence-basis search, which walks the variables in order
   and keeps X_k whenever the mixed volume of the test family (supports plus
   one segment {0, e_i} per kept variable plus simplices) stays positive --
-  the mixed-volume test is run in the quotient dimension by projecting away
-  the candidate variables first, which is an exact reformulation;
+  the test is run in the quotient dimension by projecting away the
+  candidate variables first, which is an exact reformulation, and decided
+  by Minkowski's criterion (``family_dim_ok``) without computing a volume;
 * the Gamma decomposition, enumerating the coordinate subsets I whose toric
   pieces cover the affine variety, each with its surviving equation set J_I
   and projected supports;
@@ -25,8 +26,7 @@ from .polytope import (
     PolytopeError,
     Support,
     SupportFamily,
-    affine_rank,
-    mv_positive,
+    _int_rank,
 )
 
 
@@ -50,15 +50,18 @@ def family_dim_ok(supports) -> bool:
     """Standing hypothesis: dim(sum of any subfamily) >= its size.
 
     ``supports`` is any sequence of Supports of one dimension (a
-    SupportFamily included); an empty one passes.
+    SupportFamily included); an empty one passes.  For a square family this
+    is Minkowski's criterion for a positive mixed volume (Schneider, *Convex
+    Bodies*, Thm 5.1.8).  The dimension of a sum is the rank of the union of
+    its members' difference vectors, so no sum is built.
     """
-    supports = list(supports)
-    for size in range(1, len(supports) + 1):
-        for subset in combinations(supports, size):
-            pts = {(0,) * subset[0].dim}
-            for s in subset:
-                pts = {tuple(x + y for x, y in zip(p, q)) for p in pts for q in s.points}
-            if affine_rank(pts) < size:
+    edges = []
+    for s in supports:
+        base = min(s.points)
+        edges.append([[x - b for x, b in zip(p, base)] for p in s.points if p != base])
+    for size in range(1, len(edges) + 1):
+        for subset in combinations(edges, size):
+            if _int_rank([row for e in subset for row in e]) < size:
                 return False
     return True
 
@@ -68,7 +71,7 @@ def _greedy_search(family: SupportFamily):
 
     X_k is accepted when the supports with the candidate basis projected
     away, plus one simplex per basis element still missing, have positive
-    mixed volume.
+    mixed volume, which ``family_dim_ok`` decides.
     """
     n = family.dim
     r = len(family.members)
@@ -80,7 +83,7 @@ def _greedy_search(family: SupportFamily):
         keep = [i for i in range(n) if i not in candidate]
         members = list(project_supports(family, keep).members) \
             + [Support.simplex(len(keep))] * (n - r - len(candidate))
-        ok = mv_positive(SupportFamily(members))
+        ok = family_dim_ok(members)
         if ok:
             tb.append(k)
         yield k, ok

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -13,9 +13,9 @@ from sparseproj.polytope import (
     hull_volume_and_corners,
     minkowski_sum,
     mixed_volume,
-    mv_positive,
 )
 from sparseproj.rat import rat
+from sparseproj.supports import family_dim_ok
 
 
 # -- independent 2D oracle: monotone chain + shoelace -------------------------
@@ -97,6 +97,7 @@ def test_mixed_volume_examples():
 
 
 def test_mv_positive_examples():
+    # positivity by Minkowski's criterion.
     # five-variable family: {X1,X2,X4} independent, {X1,X2,X3} not
     a1 = Support(5, [(0, 0, 0, 0, 0), (1, 1, 1, 0, 0), (2, 0, 0, 4, 2), (0, 0, 0, 8, 4)])
     a2 = Support(5, [(1, 0, 1, 1, 2), (0, 1, 2, 5, 4), (1, 3, 0, 5, 4)])
@@ -106,9 +107,9 @@ def test_mv_positive_examples():
         e[i] = 1
         return Support(5, [(0,) * 5, tuple(e)])
 
-    assert mv_positive(SupportFamily([a1, a2, seg(0), seg(1), seg(3)]))
-    assert not mv_positive(SupportFamily([a1, a2, seg(0), seg(1), seg(2)]))
-    assert not mv_positive(SupportFamily([Support(1, [(2,)])]))
+    assert family_dim_ok(SupportFamily([a1, a2, seg(0), seg(1), seg(3)]))
+    assert not family_dim_ok(SupportFamily([a1, a2, seg(0), seg(1), seg(2)]))
+    assert not family_dim_ok(SupportFamily([Support(1, [(2,)])]))
 
 
 def test_mv_random_2d_against_oracle(rng):
@@ -246,9 +247,10 @@ def test_fivevar_degree_cap():
     assert mixed_volume(_degree_cap_family()) == 66
 
 
-def test_degree_cap_hulls_work_on_vertices(monkeypatch):
-    """Summing lattice points instead of vertices, or the three simplices
-    one at a time, makes 36 hulls on 2695 points for this family."""
+def test_degree_cap_one_hull_per_distinct_member(monkeypatch):
+    """The mixed cells take vertices of the members themselves: the three
+    equal simplices and the two other supports make three hulls, and no
+    Minkowski sum is built."""
     calls = []
     real = polytope.hull_volume_and_corners
 
@@ -259,5 +261,133 @@ def test_degree_cap_hulls_work_on_vertices(monkeypatch):
     monkeypatch.setattr(polytope, "hull_volume_and_corners", counting)
     polytope._mixed_volume_normalized.cache_clear()
     assert mixed_volume(_degree_cap_family()) == 66
-    assert 0 < len(calls) <= 20
-    assert sum(calls) <= 600
+    assert sorted(calls) == [3, 4, 6]
+
+
+# -- mixed cells against the grouped inclusion-exclusion -------------------------------
+
+
+def _mv_grouped_oracle(members):
+    """Inclusion-exclusion over multiplicity vectors of the distinct translated
+    members, each Minkowski sum built from the vertices of one with a summand
+    fewer and weighted by prod_i C(k_i, j_i)."""
+    n = members[0].dim
+    normalized = [m.translate_to_origin().points for m in members]
+    distinct = list(dict.fromkeys(normalized))
+    mult = [normalized.count(pts) for pts in distinct]
+    vertices = [hull_volume_and_corners(pts)[1] for pts in distinct]
+    zero = (0,) * len(distinct)
+    sums = {zero: [(0,) * n]}
+    total = 0
+    for j in product(*(range(k + 1) for k in mult)):
+        if j == zero:
+            continue
+        i = next(i for i, j_i in enumerate(j) if j_i)
+        pred = j[:i] + (j[i] - 1,) + j[i + 1:]
+        scaled, sums[j] = hull_volume_and_corners(
+            {tuple(x + y for x, y in zip(p, q)) for p in sums[pred] for q in vertices[i]})
+        weight = prod(comb(k, j_i) for k, j_i in zip(mult, j))
+        total += (-1) ** (n - sum(j)) * weight * scaled
+    assert total % factorial(n) == 0
+    return total // factorial(n)
+
+
+def _oracle_family(rng, dim):
+    """Members drawn from a pool of a random support, a lower-dimensional
+    one, a one-point support and the simplex, each translated at random."""
+    flat = [tuple(rng.randint(0, 2) for _ in range(dim - 1)) + (1,)
+            for _ in range(rng.randint(2, 4))]
+    pool = [_random_support(rng, dim, npts=8 - dim, span=2), Support(dim, flat),
+            Support(dim, [(1,) * dim]), Support.simplex(dim)]
+    weights = [10, 2, 1, 4]
+    return [_translate(rng.choices(pool, weights)[0],
+                       tuple(rng.randint(0, 1) for _ in range(dim)))
+            for _ in range(dim)]
+
+
+def test_mixed_cells_against_grouped_oracle(rng):
+    seen = {"repeated": 0, "translated": 0, "lower": 0, "point": 0, "simplex": 0,
+            "zero": 0}
+    for trial in range(100):
+        dim = 5 if trial % 10 == 9 else 2 + trial % 3   # the oracle is slow at n = 5
+        members = _oracle_family(rng, dim)
+        bases = [m.translate_to_origin() for m in members]
+        mv = mixed_volume(SupportFamily(members))
+        assert mv == _mv_grouped_oracle(members)
+        assert (mv > 0) == family_dim_ok(members)
+        seen["repeated"] += len(set(bases)) < dim
+        seen["translated"] += len(set(bases)) < len(set(members))
+        seen["lower"] += any(len(b.points) > 1 and hull_volume(b) == 0 for b in bases)
+        seen["point"] += any(len(b.points) == 1 for b in bases)
+        seen["simplex"] += Support.simplex(dim) in bases
+        seen["zero"] += mv == 0
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_positivity_agrees_with_mixed_volume(rng):
+    """family_dim_ok, which the greedy basis search now asks, against the
+    predicate it replaces: a positive mixed volume."""
+    agreed = {True: 0, False: 0}
+    for trial in range(150):
+        dim = 1 + trial % 4
+        members = [_random_support(rng, dim, npts=3, span=2) for _ in range(dim)]
+        positive = _mv_grouped_oracle(members) > 0
+        assert family_dim_ok(members) == positive
+        agreed[positive] += 1
+    assert min(agreed.values()) >= 30, agreed
+
+
+# mixed volumes of the benchmark's square Bernstein catalogue
+BERNSTEIN_FAMILIES = [
+    ([[(0, 0, 0), (2, 2, 0), (0, 1, 1)], [(0, 0, 0), (1, 1, 1), (0, 0, 1), (0, 2, 0)],
+      [(0, 0, 0), (1, 0, 0), (2, 2, 0)]], 9),
+    ([[(0, 0, 0), (0, 2, 2), (1, 0, 0)], [(0, 0, 0), (0, 1, 2), (2, 1, 2)],
+      [(0, 0, 0), (0, 2, 1), (0, 1, 2)]], 11),
+    ([[(0, 0, 0), (0, 0, 2), (0, 1, 1)], [(0, 0, 0), (2, 0, 0), (2, 2, 0)],
+      [(0, 0, 0), (0, 0, 2), (2, 2, 2), (0, 0, 1)]], 12),
+    ([[(0, 0, 0), (1, 1, 2), (1, 1, 1)], [(0, 0, 0), (0, 0, 2), (1, 2, 2), (0, 2, 1)],
+      [(0, 0, 0), (2, 1, 0), (0, 0, 2), (2, 1, 1)]], 13),
+    ([[(0, 0, 0), (1, 2, 1), (1, 0, 2), (0, 2, 1)], [(0, 0, 0), (1, 1, 0), (1, 0, 0), (1, 2, 1)],
+      [(0, 0, 0), (0, 0, 1), (2, 1, 1), (2, 0, 1)]], 13),
+    ([[(0, 0, 0), (1, 1, 0), (0, 0, 2)], [(0, 0, 0), (2, 1, 0), (2, 2, 0)],
+      [(0, 0, 0), (2, 2, 2), (0, 2, 0)]], 14),
+    ([[(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 0, 1)], [(0, 0, 0), (0, 2, 0), (2, 1, 0)],
+      [(0, 0, 0), (0, 2, 2), (1, 1, 2), (1, 0, 0)]], 15),
+    ([[(0, 0, 0), (0, 1, 2), (0, 0, 1), (2, 1, 1)], [(0, 0, 0), (0, 2, 1), (1, 0, 2), (1, 0, 1)],
+      [(0, 0, 0), (0, 0, 1), (2, 0, 0), (1, 0, 2)]], 17),
+]
+
+
+@pytest.mark.parametrize("supports,mv", BERNSTEIN_FAMILIES,
+                         ids=[f"{i}-mv{mv}" for i, (_, mv) in enumerate(BERNSTEIN_FAMILIES)])
+def test_bernstein_catalogue_mixed_volumes(supports, mv):
+    members = [Support(3, pts) for pts in supports]
+    assert mixed_volume(SupportFamily(members)) == mv
+    assert _mv_grouped_oracle(members) == mv
+
+
+# -- the seeded lifting and its tie certificate ---------------------------------------
+
+
+def test_tied_lifting_is_redrawn(monkeypatch):
+    draws = []
+    real = polytope._draw_lifting
+
+    def flat_first(rng, members):
+        heights = real(rng, members)
+        draws.append(heights)
+        return [[0] * len(h) for h in heights] if len(draws) == 1 else heights
+
+    monkeypatch.setattr(polytope, "_draw_lifting", flat_first)
+    polytope._mixed_volume_normalized.cache_clear()
+    assert mixed_volume(_degree_cap_family()) == 66
+    assert len(draws) == 2
+
+
+def test_always_tied_lifting_raises(monkeypatch):
+    monkeypatch.setattr(polytope, "_draw_lifting",
+                        lambda rng, members: [[7] * len(pts) for pts in members])
+    polytope._mixed_volume_normalized.cache_clear()
+    with pytest.raises(PolytopeError, match="no generic lifting"):
+        mixed_volume(_degree_cap_family())
+    polytope._mixed_volume_normalized.cache_clear()
