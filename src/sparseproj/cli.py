@@ -5,36 +5,28 @@ Subcommands: mv, transbasis, gamma, solve0d, project, verify.  Exit codes:
 
 Random data can be pinned per variable with assignment syntax, e.g.
 ``--lambda X5=1 --mu X3=1 --b X4=1 --xi X1=2,X2=3``; unpinned draws come
-from ``--seed``.  ``--seed``, ``--bound`` and ``--retries`` override the
-SystemFile's ``seed``, ``bound`` and ``retries`` lines.
+from ``--seed``, and ``--retries K`` allows K redraws of the vectors that
+fail (``zerodim.Draws``).  ``--seed``, ``--bound`` and ``--retries``
+override the SystemFile's ``seed``, ``bound`` and ``retries`` lines.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from .formats import ParseError, emit_resolution, parse_resolution, parse_system
-from .lifting import LiftingError
-from .pade import NoValidApproximant
 from .polytope import PolytopeError, mixed_volume
-from .projection import (
-    GenericityFailure,
-    MuNotPrimitive,
-    ProjectionProblem,
-    q_projection,
-    verify_resolution,
-)
+from .projection import ProjectionProblem, q_projection, verify_resolution
 from .rat import rat_str
 from .ratfun import RatFun
 from .supports import DegenerateFamily, VarOrder, gamma_decomposition, trans_basis
 from .upoly import UniPoly
-from .zerodim import LambdaNotSeparating, NonGenericInput, solve_separating, solve_toric_0d
+from .zerodim import Draws, solve_separating
 
-MATH_ERRORS = (GenericityFailure, MuNotPrimitive, DegenerateFamily, PolytopeError,
-               NonGenericInput, LambdaNotSeparating, LiftingError,
-               NoValidApproximant, ArithmeticError)
+# every typed failure of the pipeline is an ArithmeticError, apart from these
+# two ValueErrors, which must not read as usage errors
+MATH_ERRORS = (ArithmeticError, DegenerateFamily, PolytopeError)
 
 
 def render_upoly_y(p: UniPoly, labels) -> str:
@@ -185,19 +177,14 @@ def cmd_solve0d(args) -> int:
         print(f"solve0d needs a square system (r = n), got r={problem.r} n={n}",
               file=sys.stderr)
         return 2
-    seed, bound, retries = _settings(args, problem)
+    lam = None
     if args.lam:
         assign = _parse_assignments(args.lam, "--lambda")
         bad = [i for i in assign if i >= n]
         if bad:
             raise ParseError(f"--lambda: variable X{bad[0] + 1} out of range")
         lam = tuple(assign.get(i, 0) for i in range(n))
-        res = solve_toric_0d(problem.system, lam)
-    else:
-        try:
-            res = solve_separating(problem.system, random.Random(seed), bound, retries + 1)
-        except LambdaNotSeparating as exc:
-            raise GenericityFailure(f"no separating form found: {exc}") from exc
+    res = solve_separating(problem.system, Draws(*_settings(args, problem)), lam)
     print(f"deg {res.degree()}")
     print("lambda " + " ".join(str(c) for c in res.lam))
     print("q(Y) = " + render_upoly_y(res.q, ()))
@@ -339,12 +326,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MATH_ERRORS as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

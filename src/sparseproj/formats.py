@@ -24,7 +24,7 @@ from .mpoly import SparsePoly
 from .rat import rat, rat_from_str, rat_str
 from .ratfun import RatFun
 from .upoly import UniPoly
-from .zerodim import GeometricResolution
+from .zerodim import DEFAULT_BOUND, DEFAULT_RETRIES, GeometricResolution
 
 
 class ParseError(ValueError):
@@ -114,17 +114,17 @@ def parse_system(text: str):
     system = [SparsePoly(header["n"], block) for block in polys]
     return ProjectionProblem(system, header["l"],
                              seed=options.get("seed", 0),
-                             bound=options.get("bound", 100),
-                             retry_limit=options.get("retries", 5))
+                             bound=options.get("bound", DEFAULT_BOUND),
+                             retry_limit=options.get("retries", DEFAULT_RETRIES))
 
 
 def emit_system(problem) -> str:
     out = [f"system n={problem.n} r={problem.r} l={problem.ell}"]
     if problem.seed:
         out.append(f"seed {problem.seed}")
-    if problem.bound != 100:
+    if problem.bound != DEFAULT_BOUND:
         out.append(f"bound {problem.bound}")
-    if problem.retry_limit != 5:
+    if problem.retry_limit != DEFAULT_RETRIES:
         out.append(f"retries {problem.retry_limit}")
     from .mpoly import grlex_key
 

@@ -185,15 +185,6 @@ def _int_rank(rows) -> int:
     return rank
 
 
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a point collection."""
-    pts = list(points)
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    return _int_rank([[x - b for x, b in zip(p, base)] for p in pts[1:]])
-
-
 def _facet_normal(pts):
     """Integer normal of the hyperplane through d points of R^d (generalized
     cross product of the difference vectors); zero vector iff degenerate."""

@@ -14,16 +14,16 @@ the first reconstruction that passes one exact certificate over Q(X_free),
 ``zerodim.audit_parametric``, is returned (see ``_certified``).  A
 candidate refused at the cap is a genericity failure like any other.
 
-All random draws come from one seeded generator and are recorded in the
-result's provenance; any detected failure (non-separating lambda, singular
-Jacobian, reconstruction failure, non-primitive mu) triggers a fresh draw of
-only the offending vector, up to the retry limit.  Pinned vectors are never
-redrawn: a failure attributable to one raises GenericityFailure immediately.
+All random draws come from one seeded ``zerodim.Draws``, in the order b,
+lambda, xi, mu, and are recorded in the result's provenance.  Its ``retry``
+answers a detected failure (a polynomial vanishing at b, a non-separating
+lambda, a singular Jacobian or refused reconstruction at xi, a
+non-primitive mu) with a fresh draw of only the offending vector, up to the
+retry limit.  Pinned vectors are never redrawn: a failure attributable to
+one raises GenericityFailure immediately.
 """
 
 from __future__ import annotations
-
-import random
 
 from .lifting import LiftingError, SingularJacobian, newton_hensel_lift
 from .linalg import InconsistentSystem, KrylovEchelon
@@ -36,11 +36,14 @@ from .series import NonUnitSeries, TruncSeries
 from .supports import VarOrder, project_supports, trans_basis
 from .upoly import UniPoly, upoly_is_squarefree, upoly_mod
 from .zerodim import (
+    DEFAULT_BOUND,
+    DEFAULT_RETRIES,
+    Draws,
+    GenericityFailure,  # noqa: F401  (re-exported)
     GeometricResolution,
     LambdaNotSeparating,
     NonGenericInput,
     audit_parametric,
-    draw_nonzero,
     field_one,
     linear_form,
     parametric_identities,
@@ -48,16 +51,8 @@ from .zerodim import (
 )
 
 
-class GenericityFailure(ArithmeticError):
-    pass
-
-
 class MuNotPrimitive(ArithmeticError):
     pass
-
-
-DEFAULT_BOUND = 100
-DEFAULT_RETRIES = 5
 
 
 class ProjectionProblem:
@@ -119,12 +114,6 @@ class ProjectionResult:
     @property
     def free_vars(self):
         return self.order.free_original
-
-
-def _draw_positive(rng, bound: int) -> int:
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    return rng.randint(1, bound)
 
 
 # -- parametric toric resolution ----------------------------------------------
@@ -228,68 +217,48 @@ def _lift_and_reconstruct(system, base, xi, t: int, lam,
 
 def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
                              degree_bound: int | None = None,
-                             seed: int = 0, rng=None,
-                             bound: int = DEFAULT_BOUND,
-                             retry_limit: int = DEFAULT_RETRIES) -> GeometricResolution:
+                             draws: Draws | None = None) -> GeometricResolution:
     """Geometric resolution of the toric zeros with X_0..X_{t-1} free.
 
     ``system``: m polynomials in t+m variables, free variables first; the
     free block must be algebraically independent modulo the saturated ideal
-    (the driver guarantees this via the transcendence basis).  Retries draw
-    only the failing vector; pinned lambda/xi fail immediately.  The lift
-    stops at the first precision whose reconstruction passes the exact
-    certificate, and at the latest at 2 * ``degree_bound`` (by default
-    MV(S, Delta^(t)), see ``lift_precision``).
+    (the driver guarantees this via the transcendence basis).  Unpinned
+    lambda and xi come from ``draws`` (a fresh ``Draws()`` by default),
+    which redraws only the failing one; pinned lambda/xi fail immediately.
+    The lift stops at the first precision whose reconstruction passes the
+    exact certificate, and at the latest at 2 * ``degree_bound`` (by
+    default MV(S, Delta^(t)), see ``lift_precision``).
     """
     system = list(system)
     m = len(system)
     if any(g.nvars != t + m for g in system):
         raise ValueError("system must have t+m variables")
-    if rng is None:
-        rng = random.Random(seed)
-
+    if draws is None:
+        draws = Draws()
     if degree_bound is None:
         degree_bound = lift_precision(system, t)
 
-    lam_pinned = lam is not None
-    xi_pinned = xi is not None
-    cur_lam = tuple(lam) if lam_pinned else None
-    cur_xi = tuple(xi) if xi_pinned else None
-    failures: list[str] = []
-
-    for _ in range(retry_limit + 1):
-        if cur_lam is None:
-            cur_lam = draw_nonzero(rng, bound, m)
+    def attempt(lam, xi=()):
         if t == 0:
-            return solve_toric_0d(system, cur_lam)
-        if cur_xi is None:
-            cur_xi = tuple(_draw_positive(rng, bound) for _ in range(t))
-        try:
-            specialized = [
-                g.eval_partial({i: cur_xi[i] for i in range(t)}).reindex(
-                    list(range(t, t + m)))
-                for g in system
-            ]
-            if any(not g for g in specialized):
-                raise NonGenericInput("system polynomial vanished at the sample point")
-            base = solve_toric_0d(specialized, cur_lam)
-            if base.degree() == 0:
-                raise NonGenericInput("no toric roots over the sample point")
-            return _lift_and_reconstruct(system, base, cur_xi, t, cur_lam, degree_bound)
-        except LambdaNotSeparating as exc:
-            failures.append(str(exc))
-            if lam_pinned:
-                raise GenericityFailure(
-                    f"genericity failure with pinned lambda: {exc}") from exc
-            cur_lam = None
-        except (SingularJacobian, NonUnitSeries, NoValidApproximant,
-                NonGenericInput, LiftingError) as exc:
-            failures.append(str(exc))
-            if xi_pinned:
-                raise GenericityFailure(
-                    f"genericity failure with pinned xi: {exc}") from exc
-            cur_xi = None
-    raise GenericityFailure("genericity failure after retries: " + "; ".join(failures))
+            return solve_toric_0d(system, lam)
+        specialized = [
+            g.eval_partial({i: xi[i] for i in range(t)}).reindex(list(range(t, t + m)))
+            for g in system
+        ]
+        if any(not g for g in specialized):
+            raise NonGenericInput("system polynomial vanished at the sample point")
+        base = solve_toric_0d(specialized, lam)
+        if base.degree() == 0:
+            raise NonGenericInput("no toric roots over the sample point")
+        return _lift_and_reconstruct(system, base, xi, t, lam, degree_bound)
+
+    # xi fails the fiber solve and the lift; at t = 0 there is no xi to blame
+    xi_vector = [("xi", xi, lambda: draws.positive(t),
+                  (SingularJacobian, NonUnitSeries, NoValidApproximant,
+                   NonGenericInput, LiftingError))] if t else []
+    return draws.retry(attempt,
+                       ("lambda", lam, lambda: draws.nonzero(m), (LambdaNotSeparating,)),
+                       *xi_vector)
 
 
 # -- projection of a resolution ------------------------------------------------
@@ -450,7 +419,7 @@ def verify_resolution(res: GeometricResolution, context) -> VerificationReport:
 def q_projection(problem: ProjectionProblem) -> ProjectionResult:
     """Geometric resolution of the closure of the projection of V*(f)."""
     n, r, ell = problem.n, problem.r, problem.ell
-    rng = random.Random(problem.seed)
+    draws = Draws(problem.seed, problem.bound, problem.retry_limit)
     family = problem.family
     tb = trans_basis(family)
     order = VarOrder(tb, n, r, ell)
@@ -469,22 +438,27 @@ def q_projection(problem: ProjectionProblem) -> ProjectionResult:
     provenance["degree_cap"] = degree_cap
 
     spec_vars = order.specialized_original
-    if problem.b is not None:
-        if len(problem.b) != len(spec_vars):
+    b = problem.b
+    if b is not None:
+        if len(b) != len(spec_vars):
             raise ValueError(f"b must have {len(spec_vars)} entries")
-        b = tuple(int(x) for x in problem.b)
+        b = tuple(int(x) for x in b)
         if any(x == 0 for x in b):
             raise ValueError("b entries must be nonzero")
-    else:
-        b = tuple(_draw_positive(rng, problem.bound) for _ in spec_vars)
-    provenance["b"] = b
-
-    bindings = {v: rat(val) for v, val in zip(spec_vars, b)}
     frame_positions = list(order.to_original[: t + r])
-    specialized = [g.eval_partial(bindings).reindex(frame_positions)
-                   for g in problem.system]
-    if any(not g for g in specialized):
-        raise GenericityFailure("system polynomial vanished after specialization")
+
+    def specialize(b):
+        bindings = {v: rat(val) for v, val in zip(spec_vars, b)}
+        specialized = [g.eval_partial(bindings).reindex(frame_positions)
+                       for g in problem.system]
+        if any(not g for g in specialized):
+            raise NonGenericInput("system polynomial vanished after specialization")
+        return b, specialized
+
+    b, specialized = draws.retry(
+        specialize,
+        ("b", b, lambda: draws.positive(len(spec_vars)), (NonGenericInput,)))
+    provenance["b"] = b
 
     projected_family = project_supports(family, frame_positions)
     mv = mixed_volume(SupportFamily(
@@ -492,34 +466,19 @@ def q_projection(problem: ProjectionProblem) -> ProjectionResult:
     provenance["degree_bound"] = mv
     provenance["precision"] = 2 * mv
 
-    # lambda is drawn (and redrawn on failure) by the parametric step, right
-    # after b, unless the problem pins it
+    # lambda and xi are drawn (and redrawn on failure) by the parametric
+    # step, right after b, unless the problem pins them
     parametric = parametric_toric_geomres(
-        specialized, t, problem.lam, xi=problem.xi, degree_bound=mv,
-        rng=rng, bound=problem.bound, retry_limit=problem.retry_limit)
+        specialized, t, problem.lam, xi=problem.xi, degree_bound=mv, draws=draws)
     provenance["lambda"] = parametric.lam
 
     proj_frame = tuple(range(t, ell))
-    mu_pinned = problem.mu is not None
-    mu = tuple(problem.mu) if mu_pinned else None
-    attempts = 0
-    while True:
-        if mu is None:
-            mu = draw_nonzero(rng, problem.bound, len(proj_frame))
-        try:
-            projected = geom_res_proj(parametric, proj_frame, mu)
-            break
-        except MuNotPrimitive as exc:
-            if mu_pinned:
-                raise GenericityFailure(
-                    f"genericity failure with pinned mu: {exc}") from exc
-            attempts += 1
-            if attempts > problem.retry_limit:
-                raise GenericityFailure(
-                    f"genericity failure drawing mu: {exc}") from exc
-            mu = None
+    projected = draws.retry(
+        lambda mu: geom_res_proj(parametric, proj_frame, mu),
+        ("mu", problem.mu, lambda: draws.nonzero(len(proj_frame)), (MuNotPrimitive,)))
+    mu = projected.lam
     provenance["mu"] = mu
-    provenance["mu_attempts"] = attempts
+    provenance["mu_attempts"] = len(draws.failures.get("mu", ()))
 
     report = verify_resolution(projected, (parametric, proj_frame, mu))
     if not report.passed:

@@ -15,10 +15,11 @@ reduced, or a computed resolution fails its own exactness audit).
 
 The module also holds what the fiber solve, the lift and the projection
 share: the identities every resolution satisfies modulo q
-(``audit_parametric``), the random draw of a separating form, and the
-evaluation of a parametrization v(Y) modulo q over a coefficient domain the
-caller picks (Q, Q(X_free) or the lift's series): ``Composition`` composes
-polynomials with it, and ``linear_form`` forms sum c_j v_j.
+(``audit_parametric``), the seeded random draws with their one retry
+routine (``Draws``), and the evaluation of a parametrization v(Y) modulo q
+over a coefficient domain the caller picks (Q, Q(X_free) or the lift's
+series): ``Composition`` composes polynomials with it, and ``linear_form``
+forms sum c_j v_j.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ class LambdaNotSeparating(ArithmeticError):
 
 class NonGenericInput(ArithmeticError):
     pass
+
+
+class GenericityFailure(ArithmeticError):
+    pass
+
+
+DEFAULT_BOUND = 100
+DEFAULT_RETRIES = 5
 
 
 class GeometricResolution:
@@ -263,42 +272,88 @@ def linear_form(params: dict, variables, coeffs, q: UniPoly) -> UniPoly:
     return upoly_mod(acc, q)
 
 
-def draw_nonzero(rng, bound: int, count: int) -> tuple:
-    """``count`` integers drawn uniformly from [-bound, bound] without 0."""
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    out = []
-    while len(out) < count:
-        x = rng.randint(-bound, bound)
-        if x:
-            out.append(x)
-    return tuple(out)
+class Draws:
+    """The run's random vectors, from one generator seeded once.
 
-
-def solve_separating(system, rng, bound: int, attempts: int, *,
-                     check: bool = True) -> GeometricResolution:
-    """solve_toric_0d with up to ``attempts`` separating forms drawn from rng.
-
-    Raises the last LambdaNotSeparating when no drawn form separates.
+    ``nonzero`` and ``positive`` draw integer vectors with entries bounded by
+    ``bound`` in absolute value; a draw of no entries neither checks the
+    bound nor touches the generator.  ``retry`` is the one routine that
+    redraws a vector after a failure it caused.  The messages of the
+    failures that led to a redraw are kept per vector name in ``failures``.
     """
-    last: Exception | None = None
-    for _ in range(attempts):
-        try:
-            return solve_toric_0d(system, draw_nonzero(rng, bound, len(system)),
-                                  check=check)
-        except LambdaNotSeparating as exc:
-            last = exc
-    raise last if last is not None else NonGenericInput("no attempts made")
+
+    def __init__(self, seed: int = 0, bound: int = DEFAULT_BOUND,
+                 retry_limit: int = DEFAULT_RETRIES):
+        self.rng = random.Random(seed)
+        self.bound = bound
+        self.retry_limit = retry_limit
+        self.failures: dict[str, list[str]] = {}
+
+    def _check_bound(self, count: int) -> None:
+        if count and self.bound < 1:
+            raise ValueError("bound must be at least 1")
+
+    def nonzero(self, count: int) -> tuple:
+        """``count`` integers drawn uniformly from [-bound, bound] without 0."""
+        self._check_bound(count)
+        out = []
+        while len(out) < count:
+            x = self.rng.randint(-self.bound, self.bound)
+            if x:
+                out.append(x)
+        return tuple(out)
+
+    def positive(self, count: int) -> tuple:
+        """``count`` integers drawn uniformly from [1, bound]."""
+        self._check_bound(count)
+        return tuple(self.rng.randint(1, self.bound) for _ in range(count))
+
+    def retry(self, attempt, *vectors):
+        """``attempt(*values)``, one value per vector, redrawn on failure.
+
+        Each vector is ``(name, pinned, draw, errors)``: its pinned value, or
+        None to take ``draw()``, and the exception types that blame it.
+        Unpinned vectors are drawn in the order given.  A failure redraws
+        only the first vector whose types it matches, at most
+        ``retry_limit`` times in all; one that matches none propagates.
+        GenericityFailure is raised when a pinned vector is blamed and when
+        the retries run out.
+        """
+        values = [None if pinned is None else tuple(pinned) for _, pinned, _, _ in vectors]
+        failed = []
+        for _ in range(self.retry_limit + 1):
+            values = [draw() if v is None else v
+                      for v, (_, _, draw, _) in zip(values, vectors)]
+            try:
+                return attempt(*values)
+            except tuple(e for *_, errors in vectors for e in errors) as exc:
+                k = next(k for k, (*_, errors) in enumerate(vectors)
+                         if isinstance(exc, errors))
+                name, pinned = vectors[k][:2]
+                if pinned is not None:
+                    raise GenericityFailure(
+                        f"genericity failure with pinned {name}: {exc}") from exc
+                self.failures.setdefault(name, []).append(str(exc))
+                failed.append(f"{name}: {exc}")
+                values[k] = None
+        raise GenericityFailure("genericity failure after retries: " + "; ".join(failed))
 
 
-def count_toric_roots(system, lam=None, *, retries: int = 5, seed: int = 0,
-                      bound: int = 100) -> int:
+def solve_separating(system, draws: Draws, lam=None, *,
+                     check: bool = True) -> GeometricResolution:
+    """solve_toric_0d with the separating form ``lam``, or one drawn and
+    redrawn by ``draws`` while it does not separate."""
+    return draws.retry(lambda lam: solve_toric_0d(system, lam, check=check),
+                       ("lambda", lam, lambda: draws.nonzero(len(system)),
+                        (LambdaNotSeparating,)))
+
+
+def count_toric_roots(system, lam=None, *, retries: int = DEFAULT_RETRIES,
+                      seed: int = 0, bound: int = DEFAULT_BOUND) -> int:
     """Number of toric roots = deg q for a successful separating form.
 
     The count only needs deg q; degeneracies still surface as typed
     failures, so the (expensive) exactness audit is skipped.
     """
-    if lam is not None:
-        return solve_toric_0d(system, tuple(lam), check=False).degree()
-    return solve_separating(system, random.Random(seed), bound, retries,
+    return solve_separating(system, Draws(seed, bound, retries), lam,
                             check=False).degree()

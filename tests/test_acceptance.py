@@ -27,8 +27,8 @@ from sparseproj.ratfun import RatFun, ratfun_normalize
 from sparseproj.supports import trans_basis
 from sparseproj.upoly import UniPoly
 from sparseproj.zerodim import (
+    GenericityFailure,
     GeometricResolution,
-    LambdaNotSeparating,
     NonGenericInput,
     count_toric_roots,
     solve_toric_0d,
@@ -184,7 +184,7 @@ def test_criterion_6_bernstein_suite():
             try:
                 deg = count_toric_roots(system, retries=6,
                                         seed=rng.randint(0, 10**6))
-            except (LambdaNotSeparating, NonGenericInput):
+            except (GenericityFailure, NonGenericInput):
                 flagged += 1
                 continue
             if deg == mv:

@@ -172,6 +172,37 @@ def test_solve0d_reads_the_file_seed(files, capsys):
     assert via_file != unseeded
 
 
+UNIT_SQUARES = """\
+system n=2 r=2 l=1
+poly
+2 0 : 1
+0 0 : -1
+poly
+0 2 : 1
+0 0 : -1
+"""
+
+
+def test_solve0d_retries_count_redraws(files, capsys):
+    # seed 7 at bound 2 draws four forms with |lam_1| = |lam_2| first
+    path = files["tmp"] / "unit_squares.txt"
+    path.write_text(UNIT_SQUARES)
+    args = ["solve0d", str(path), "--seed", "7", "--bound", "2"]
+    assert main(args + ["--retries", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["deg 4", "lambda 2 -1"]
+    assert main(args + ["--retries", "3"]) == 1
+    assert "genericity failure after retries" in capsys.readouterr().err
+
+
+def test_degenerate_family_is_a_math_failure(files, capsys):
+    # both supports on the X1 axis: the toric variety is empty
+    path = files["tmp"] / "axis.txt"
+    path.write_text(UNIT_SQUARES.replace("0 2 : 1", "1 0 : 1"))
+    assert main(["transbasis", str(path)]) == 1
+    assert "degenerate support family" in capsys.readouterr().err
+
+
 def test_verify_rejects_a_changed_parent_lambda(files, capsys):
     res_path = str(files["tmp"] / "res.txt")
     assert main(["project", files["sys5"], "--lambda", "X5=1", "--mu", "X3=1",

@@ -467,3 +467,41 @@ def test_provenance_lambda_is_the_parametric_lambda():
     f2 = SparsePoly(3, {(0, 0, 0): -1, (1, 0, 1): 4, (0, 2, 0): 7})
     result = q_projection(ProjectionProblem([f1, f2], 2, seed=5))
     assert result.provenance["lambda"] == result.parametric.lam
+    # the seeded draw order b, lambda, xi, mu: these values pin it
+    prov = result.provenance
+    assert (prov["b"], prov["lambda"], prov["mu"], prov["mu_attempts"]) == \
+        ((), (59, -35), (-9,), 0)
+
+
+def _two_point_fiber(f2_terms):
+    # X1 in {1, 2}; at bound 1 or 2 many lambdas take one value on both roots
+    f1 = SparsePoly(3, {(2, 0, 0): 1, (1, 0, 0): -3, (0, 0, 0): 2})
+    return [f1, SparsePoly(3, f2_terms)]
+
+
+def test_zero_free_variables_redraw_lambda():
+    # f2 = X3 + X1 - 3: t = 0, and lambda = +-(1, 1) takes the value 3 on
+    # both roots; seeds 2, 3, 5 and 6 draw such a lambda first
+    system = _two_point_fiber({(0, 0, 1): 1, (1, 0, 0): 1, (0, 0, 0): -3})
+    for seed in (2, 3, 5, 6):
+        result = q_projection(ProjectionProblem(system, 1, seed=seed, bound=1))
+        assert result.provenance["t"] == 0
+        assert result.resolution.degree() == 2
+
+
+def test_vanishing_at_b_redraws_b():
+    # f2 = (X2 - 1)(X3 - X1) vanishes at b = X2 = 1, which seeds 1-4 draw first
+    system = _two_point_fiber({(0, 1, 1): 1, (1, 1, 0): -1, (0, 0, 1): -1,
+                               (1, 0, 0): 1})
+    for seed in range(1, 5):
+        result = q_projection(ProjectionProblem(system, 1, seed=seed, bound=2))
+        assert result.provenance["b"] == (2,)
+    with pytest.raises(GenericityFailure, match="pinned b: system polynomial vanished"):
+        q_projection(ProjectionProblem(system, 1, seed=1, b=(1,)))
+
+
+def test_fully_pinned_projection_draws_nothing():
+    # no specialized variable and every vector pinned: bound 0 is never read
+    result = q_projection(ProjectionProblem(threevar_system(), 2, bound=0, lam=(0, 1),
+                                            xi=(1,), mu=(1,)))
+    assert result.provenance["b"] == () and result.resolution.degree() == 2

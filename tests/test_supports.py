@@ -1,8 +1,9 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from sparseproj.polytope import Support, SupportFamily, affine_rank
+from sparseproj.polytope import Support, SupportFamily
 from sparseproj.supports import (
     DegenerateFamily,
     VarOrder,
@@ -56,6 +57,23 @@ def test_trans_basis_greedy_replay():
     projected = [Support(len(keep), {tuple(p[i] for i in keep) for p in m.points})
                  for m in fam.members]
     assert family_dim_ok(SupportFamily(projected))
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull, by Gaussian elimination over Q."""
+    pts = list(points)
+    rows = [[Fraction(x - b) for x, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0]) if pts else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def _gamma_conditions(family, zero_set):

@@ -6,15 +6,22 @@ from sparseproj.polytope import Support, SupportFamily, mixed_volume
 from sparseproj.rat import rat
 from sparseproj.upoly import UniPoly, upoly_gcd, upoly_mod
 from sparseproj.zerodim import (
+    Composition,
+    Draws,
+    GenericityFailure,
     LambdaNotSeparating,
     NonGenericInput,
-    Composition,
     count_toric_roots,
-    draw_nonzero,
     fraction_term,
     solve_separating,
     solve_toric_0d,
 )
+
+
+def _unit_squares():
+    # x^2 = 1, y^2 = 1: a lambda with |lam_1| = |lam_2| does not separate
+    return [SparsePoly(2, {(2, 0): 1, (0, 0): -1}),
+            SparsePoly(2, {(0, 2): 1, (0, 0): -1})]
 
 
 def test_fiber_resolution_golden():
@@ -66,30 +73,79 @@ def test_lambda_not_separating_detected_and_policy():
 
 
 def test_separating_retry_draws_in_order():
-    import random
+    sysm = _unit_squares()
+    same_seed = Draws(7, 2)
+    drawn = [same_seed.nonzero(2) for _ in range(8)]
+    failing = next(k for k, lam in enumerate(drawn) if abs(lam[0]) != abs(lam[1]))
+    draws = Draws(7, 2, 7)
+    res = solve_separating(sysm, draws)
+    assert res.lam == drawn[failing] and res.degree() == 4
+    assert len(draws.failures["lambda"]) == failing
+    # bound 1 draws only lambdas with |lam_1| = |lam_2|: one try plus two retries
+    draws = Draws(7, 1, 2)
+    with pytest.raises(GenericityFailure, match="after retries"):
+        solve_separating(sysm, draws)
+    assert len(draws.failures["lambda"]) == 3
+    with pytest.raises(GenericityFailure, match="pinned lambda"):
+        solve_separating(sysm, Draws(7, 2), (1, 1))
 
-    # x^2 = 1, y^2 = 1: a draw with |lam_1| = |lam_2| does not separate
-    sysm = [SparsePoly(2, {(2, 0): 1, (0, 0): -1}),
-            SparsePoly(2, {(0, 2): 1, (0, 0): -1})]
-    rng = random.Random(7)
-    draws = [draw_nonzero(rng, 2, 2) for _ in range(8)]
-    first = next(lam for lam in draws if abs(lam[0]) != abs(lam[1]))
-    res = solve_separating(sysm, random.Random(7), 2, 8)
-    assert res.lam == first and res.degree() == 4
-    with pytest.raises(LambdaNotSeparating):
-        solve_separating(sysm, random.Random(7), 1, 3)
+
+def test_count_toric_roots_retries_k_times():
+    # seed 7 at bound 2 draws four non-separating forms before one that
+    # separates: retries=4 allows exactly that many, as solve0d --retries 4
+    assert count_toric_roots(_unit_squares(), retries=4, seed=7, bound=2) == 4
+    with pytest.raises(GenericityFailure, match="after retries"):
+        count_toric_roots(_unit_squares(), retries=3, seed=7, bound=2)
 
 
 def test_draw_nonzero_rejects_an_empty_range():
-    code = ("import random\n"
-            "from sparseproj.zerodim import draw_nonzero\n"
-            "try:\n"
-            "    draw_nonzero(random.Random(0), 0, 2)\n"
-            "except ValueError as exc:\n"
-            "    print(exc)\n")
+    code = ("from sparseproj.zerodim import Draws\n"
+            "for draw in (Draws(0, 0).nonzero, Draws(0, 0).positive):\n"
+            "    try:\n"
+            "        draw(2)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
     out = run_guarded(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "bound must be at least 1"
+    assert out.stdout.splitlines() == ["bound must be at least 1"] * 2
+
+
+def test_empty_draws_leave_the_generator_alone():
+    draws = Draws(3, 0)
+    state = draws.rng.getstate()
+    assert draws.nonzero(0) == () and draws.positive(0) == ()
+    assert draws.rng.getstate() == state
+
+
+def test_retry_redraws_only_the_blamed_vector():
+    class FailA(ArithmeticError):
+        pass
+
+    class FailB(ArithmeticError):
+        pass
+
+    calls = []
+    script = iter([FailB("b bad"), FailA("a bad"), None])
+
+    def attempt(a, b):
+        calls.append((a, b))
+        exc = next(script)
+        if exc is not None:
+            raise exc
+        return a, b
+
+    draws = Draws(11, 50)
+    got = draws.retry(attempt, ("a", None, lambda: draws.positive(1), (FailA,)),
+                      ("b", None, lambda: draws.positive(2), (FailB,)))
+    replay = Draws(11, 50)
+    a1, b1 = replay.positive(1), replay.positive(2)
+    b2 = replay.positive(2)
+    a2 = replay.positive(1)
+    assert calls == [(a1, b1), (a1, b2), (a2, b2)] and got == (a2, b2)
+    assert draws.failures == {"b": ["b bad"], "a": ["a bad"]}
+    # a failure blamed on no vector is not retried
+    with pytest.raises(ZeroDivisionError):
+        draws.retry(lambda a: 1 // 0, ("a", None, lambda: draws.positive(1), (FailA,)))
 
 
 def test_non_generic_positive_dimensional():
@@ -124,7 +180,7 @@ def test_bernstein_consistency_sample(rng):
             [Support(n, p.support()) for p in system]))
         try:
             deg = count_toric_roots(system, retries=6, seed=rng.randint(0, 10**6))
-        except (LambdaNotSeparating, NonGenericInput):
+        except (GenericityFailure, NonGenericInput):
             flagged += 1
             continue
         if deg == mv:
