@@ -8,8 +8,8 @@ submodules (``from sparseproj.pade import pade``).
 from .rat import Rat
 from .mpoly import SparsePoly, mpoly_gcd
 from .ratfun import RatFun, ratfun_normalize
-from .upoly import UniPoly, upoly_divrem, upoly_gcd
-from .polytope import Support, SupportFamily, hull_volume, minkowski_sum, mixed_volume
+from .upoly import UniPoly, upoly_divrem
+from .polytope import Support, SupportFamily, mixed_volume
 from .supports import gamma_decomposition, project_supports, trans_basis
 from .series import SeriesRing, TruncSeries
 from .zerodim import GeometricResolution, count_toric_roots, solve_toric_0d
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Rat", "SparsePoly", "mpoly_gcd", "RatFun", "ratfun_normalize",
-    "UniPoly", "upoly_divrem", "upoly_gcd",
-    "Support", "SupportFamily", "hull_volume", "minkowski_sum", "mixed_volume",
+    "UniPoly", "upoly_divrem",
+    "Support", "SupportFamily", "mixed_volume",
     "gamma_decomposition", "project_supports", "trans_basis",
     "SeriesRing", "TruncSeries",
     "GeometricResolution", "count_toric_roots", "solve_toric_0d",

@@ -118,23 +118,6 @@ def parse_system(text: str):
                              retry_limit=options.get("retries", DEFAULT_RETRIES))
 
 
-def emit_system(problem) -> str:
-    out = [f"system n={problem.n} r={problem.r} l={problem.ell}"]
-    if problem.seed:
-        out.append(f"seed {problem.seed}")
-    if problem.bound != DEFAULT_BOUND:
-        out.append(f"bound {problem.bound}")
-    if problem.retry_limit != DEFAULT_RETRIES:
-        out.append(f"retries {problem.retry_limit}")
-    from .mpoly import grlex_key
-
-    for p in problem.system:
-        out.append("poly")
-        for e in sorted(p.terms, key=grlex_key, reverse=True):
-            out.append(" ".join(str(x) for x in e) + " : " + rat_str(p.terms[e]))
-    return "\n".join(out) + "\n"
-
-
 # -- canonical fraction text <-> RatFun ---------------------------------------------
 
 

@@ -23,6 +23,12 @@ def _lead(p: SparsePoly):
     return max(p.terms, key=grevlex_key)
 
 
+def _monic(p: SparsePoly) -> SparsePoly:
+    """Nonzero p divided by its leading coefficient."""
+    c = p.terms[_lead(p)]
+    return p if c == 1 else p.scale(RAT_ONE / c)
+
+
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -56,7 +62,7 @@ def buchberger(gens) -> list[SparsePoly]:
     sugars: list[int] = []
     for g in gens:
         if g:
-            basis.append(g.monic_grevlex())
+            basis.append(_monic(g))
             sugars.append(g.total_degree())
     if not basis:
         return []
@@ -108,7 +114,7 @@ def buchberger(gens) -> list[SparsePoly]:
         spoly = SparsePoly(basis[i].nvars, sp, _clean=True)
         rem = normal_form(spoly, basis, leads)
         if rem:
-            basis.append(rem.monic_grevlex())
+            basis.append(_monic(rem))
             sugars.append(sugar)
             leads.append(_lead(basis[-1]))
             for k in range(len(basis) - 1):
@@ -130,7 +136,7 @@ def _interreduce(basis) -> list[SparsePoly]:
     for i, g in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
         red = normal_form(g, others) if others else g
-        out.append(red.monic_grevlex())
+        out.append(_monic(red))
     return sorted(out, key=lambda g: grevlex_key(_lead(g)))
 
 

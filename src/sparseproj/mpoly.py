@@ -83,12 +83,6 @@ class SparsePoly:
         return cls(nvars, {(0,) * nvars: value}, _clean=True)
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> "SparsePoly":
-        e = [0] * nvars
-        e[index] = 1
-        return cls(nvars, {tuple(e): RAT_ONE}, _clean=True)
-
-    @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "SparsePoly":
         coeff = rat(coeff)
         if not coeff:
@@ -203,15 +197,6 @@ class SparsePoly:
             n >>= 1
         return out
 
-    def monic_grevlex(self) -> "SparsePoly":
-        """Divide by the graded-reverse-lex leading coefficient."""
-        if not self.terms:
-            return self
-        _, c = self.lead(grevlex_key)
-        if c == 1:
-            return self
-        return self.scale(RAT_ONE / c)
-
     def derivative(self, var: int) -> "SparsePoly":
         out = {}
         for e, c in self.terms.items():
@@ -263,6 +248,32 @@ class SparsePoly:
                     c = c * pt[v] ** k
             total += c
         return total
+
+    def translate(self, shift) -> "SparsePoly":
+        """p(X + shift): the Taylor shift by a rational point."""
+        n = self.nvars
+        if len(shift) != n:
+            raise ValueError("shift length must match variable count")
+        powers: dict[tuple[int, int], SparsePoly] = {}
+
+        def power(i: int, k: int) -> SparsePoly:
+            # (X_i + shift_i)^k, built once per (i, k)
+            got = powers.get((i, k))
+            if got is None:
+                base = SparsePoly(n, {tuple(int(j == i) for j in range(n)): RAT_ONE,
+                                      (0,) * n: shift[i]})
+                got = base if k == 1 else power(i, k - 1) * base
+                powers[(i, k)] = got
+            return got
+
+        out = SparsePoly.zero(n)
+        for e, c in self.terms.items():
+            term = SparsePoly.const(n, c)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * power(i, k)
+            out = out + term
+        return out
 
     def reindex(self, positions) -> "SparsePoly":
         """Keep the variables at ``positions`` (in order), drop the rest.
@@ -323,8 +334,8 @@ class SparsePoly:
         num_g = 0
         den_l = 1
         for c in self.terms.values():
-            num_g = int_gcd(num_g, abs(int(c.numerator)))
-            d = int(c.denominator)
+            num_g = int_gcd(num_g, abs(c.numerator))
+            d = c.denominator
             den_l = den_l * d // int_gcd(den_l, d)
         content = rat(num_g, den_l)
         lead_c = self.terms[max(self.terms, key=grlex_key)]
@@ -427,10 +438,10 @@ def _primitive(vec: list) -> list:
 def _dense_primitive(p: SparsePoly, var: int) -> list:
     """p, living in variable ``var``, as a primitive integer vector, lowest
     degree first."""
-    den = int_lcm(*(int(c.denominator) for c in p.terms.values()))
+    den = int_lcm(*(c.denominator for c in p.terms.values()))
     vec = [0] * (p.degree_in(var) + 1)
     for e, c in p.terms.items():
-        vec[e[var]] = int(c.numerator) * (den // int(c.denominator))
+        vec[e[var]] = c.numerator * (den // c.denominator)
     return _primitive(vec)
 
 

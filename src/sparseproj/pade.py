@@ -13,7 +13,8 @@ least 2d: its terms above degree d must vanish, so the terms above 2d test
 the approximant for free.  ``pade`` returns numerator and denominator in the
 shifted variables Z, which is all a caller needs to evaluate the fraction at
 a point, and costs no gcd; ``shifted_to_ratfun`` rewrites them in the
-original variables in canonical form.
+original variables in canonical form, by the Taylor shift
+``SparsePoly.translate(-xi)``.
 """
 
 from __future__ import annotations
@@ -29,33 +30,10 @@ class NoValidApproximant(ArithmeticError):
     pass
 
 
-def _unshift(p: SparsePoly, shift) -> SparsePoly:
-    """Substitute Z_i = X_i - xi_i, returning a polynomial in the X variables."""
-    n = p.nvars
-    powers: dict[tuple[int, int], SparsePoly] = {}
-
-    def var_power(i: int, k: int) -> SparsePoly:
-        got = powers.get((i, k))
-        if got is None:
-            base = SparsePoly(n, {tuple(1 if j == i else 0 for j in range(n)): RAT_ONE,
-                                  (0,) * n: -rat(shift[i])})
-            got = base if k == 1 else var_power(i, k - 1) * base
-            powers[(i, k)] = got
-        return got
-
-    out = SparsePoly.zero(n)
-    for e, c in p.terms.items():
-        term = SparsePoly.const(n, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * var_power(i, k)
-        out = out + term
-    return out
-
-
 def shifted_to_ratfun(num_z: SparsePoly, den_z: SparsePoly, shift) -> RatFun:
     """The canonical fraction num_z/den_z rewritten in the original variables."""
-    return ratfun_normalize(_unshift(num_z, shift), _unshift(den_z, shift))
+    back = tuple(-rat(x) for x in shift)
+    return ratfun_normalize(num_z.translate(back), den_z.translate(back))
 
 
 def _residual_numerator(s: TruncSeries, den_z: SparsePoly, d: int) -> SparsePoly:

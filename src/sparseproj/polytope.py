@@ -1,12 +1,14 @@
-"""Exact lattice-polytope geometry: hulls, volumes, Minkowski sums, mixed volumes.
+"""Exact lattice-polytope geometry: hulls, their vertices, mixed volumes.
 
-Everything runs on integer arithmetic.  Hull volumes come from an incremental
-beneath-beyond placing triangulation: points are inserted one at a time, the
-simplices spanned by the new point and the strictly visible boundary facets
-are accumulated, and coplanar facets are skipped (their pyramids have volume
-zero, so degenerate inputs cost nothing but bookkeeping).  The boundary of
-that triangulation also holds points inside faces; a boundary point is kept
-as a vertex only when the primitive facet normals tight at it have full rank.
+Everything runs on integer arithmetic.  ``hull_volume_and_corners`` reduces
+a point set to the vertices of its hull, with the hull's volume, by an
+incremental beneath-beyond placing triangulation: points are inserted one at
+a time, the simplices spanned by the new point and the strictly visible
+boundary facets are accumulated, and coplanar facets are skipped (their
+pyramids have volume zero, so degenerate inputs cost nothing but
+bookkeeping).  The boundary of that triangulation also holds points inside
+faces; a boundary point is kept as a vertex only when the primitive facet
+normals tight at it have full rank.
 
 The normalized mixed volume (MV of n standard simplices is 1; equivalently
 the generic toric root count of Bernstein's theorem) is the sum of |det| over
@@ -33,9 +35,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from math import factorial, gcd
-
-from .rat import rat
+from math import gcd
 
 DIM_CAP = 12
 # Every mixed volume draws its liftings from a generator seeded with this
@@ -298,23 +298,6 @@ def hull_volume_and_corners(points):
         if _int_rank(tight) == d:
             vertices.append(p)
     return vol_scaled, sorted(vertices)
-
-
-def hull_volume(s: Support):
-    """Exact Euclidean volume of conv(s.points); 0 when lower-dimensional."""
-    if s.dim > DIM_CAP:
-        raise PolytopeError(
-            f"ambient dimension {s.dim} exceeds cap {DIM_CAP} (exponential method)")
-    scaled, _ = hull_volume_and_corners(s.points)
-    return rat(scaled, factorial(s.dim))
-
-
-def minkowski_sum(a: Support, b: Support) -> Support:
-    """Pointwise sum set {p+q}, duplicates removed."""
-    if a.dim != b.dim:
-        raise PolytopeError("ambient dimension mismatch")
-    pts = {tuple(x + y for x, y in zip(p, q)) for p in a.points for q in b.points}
-    return Support(a.dim, pts)
 
 
 def mixed_volume(family: SupportFamily) -> int:

@@ -233,6 +233,8 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
     m = len(system)
     if any(g.nvars != t + m for g in system):
         raise ValueError("system must have t+m variables")
+    if xi is not None and len(xi) != t:
+        raise ValueError(f"xi must have {t} entries")
     if draws is None:
         draws = Draws()
     if degree_bound is None:

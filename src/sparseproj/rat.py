@@ -1,56 +1,29 @@
 """Exact rational scalars.
 
-Every coefficient in this package is an arbitrary-precision rational in
-canonical form (coprime numerator/denominator, positive denominator, zero
-stored as 0/1).  Both available backends guarantee that form:
-
-* ``gmpy2.mpq`` -- GMP-backed, used when gmpy2 is importable (the fast path),
-* ``fractions.Fraction`` -- stdlib fallback.
-
-Set ``SPARSEPROJ_RAT=fraction`` before import to force the stdlib backend.
-The two types must never be mixed inside one process; all construction goes
-through :func:`rat`.
+Every coefficient in this package is a ``fractions.Fraction``: an
+arbitrary-precision rational in canonical form (coprime numerator and
+denominator, positive denominator, zero stored as 0/1).  ``Rat`` names that
+one type, and construction goes through :func:`rat`.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-_FORCED = os.environ.get("SPARSEPROJ_RAT", "").lower()
+Rat = Fraction
 
-if _FORCED in ("", "gmpy", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _mpq
-
-        Rat = type(_mpq(0))
-        _make = _mpq
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _FORCED:
-            raise
-        Rat = Fraction
-        _make = Fraction
-        BACKEND = "fraction"
-elif _FORCED == "fraction":
-    Rat = Fraction
-    _make = Fraction
-    BACKEND = "fraction"
-else:
-    raise RuntimeError(f"unknown SPARSEPROJ_RAT backend {_FORCED!r}")
-
-RAT_ZERO = _make(0)
-RAT_ONE = _make(1)
+RAT_ZERO = Fraction(0)
+RAT_ONE = Fraction(1)
 
 
 def rat(num, den=1):
     """Build a canonical rational from integers, a string, or another Rat."""
     if den == 1:
-        if type(num) is Rat:
+        if type(num) is Fraction:
             return num
         if isinstance(num, str):
-            return _make(num)
-    return _make(num, den)
+            return Fraction(num)
+    return Fraction(num, den)
 
 
 def rat_from_str(text: str):
@@ -61,8 +34,8 @@ def rat_from_str(text: str):
         num, den = int(n), int(d)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        return _make(num, den)
-    return _make(int(text))
+        return Fraction(num, den)
+    return Fraction(int(text))
 
 
 def rat_str(value) -> str:
@@ -70,7 +43,3 @@ def rat_str(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def is_integer(value) -> bool:
-    return value.denominator == 1

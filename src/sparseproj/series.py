@@ -5,7 +5,9 @@ point xi, and the truncation order kappa; it stores one sparse exponent dict
 per homogeneous degree 0..kappa in the shifted variables Z_i = X_i - xi_i.
 Zero components are empty dicts, so the convolution kernels skip them -- the
 Newton lifting relies on this: a series known to agree with a polynomial (or
-to vanish below some degree) costs only its true support.
+to vanish below some degree) costs only its true support.  A polynomial in
+the X variables enters by one Taylor shift, ``SparsePoly.translate(xi)``,
+which writes it in the Z variables.
 
 Inversion requires a unit (nonzero constant term) and runs the usual
 quadratic Newton iteration; a non-unit raises NonUnitSeries, which the
@@ -64,17 +66,6 @@ class SeriesRing:
             comps[0][(0,) * self.nvars] = value
         return TruncSeries(self, comps, _clean=True)
 
-    def variable(self, i: int) -> "TruncSeries":
-        """The series of X_{vars[i]} itself: shift[i] + Z_i."""
-        comps = [{} for _ in range(self.prec + 1)]
-        if self.shift[i]:
-            comps[0][(0,) * self.nvars] = self.shift[i]
-        if self.prec >= 1:
-            e = [0] * self.nvars
-            e[i] = 1
-            comps[1][tuple(e)] = RAT_ONE
-        return TruncSeries(self, comps, _clean=True)
-
     def from_shifted_poly(self, p: SparsePoly) -> "TruncSeries":
         """Inject a polynomial already written in the Z variables."""
         if p.nvars != self.nvars:
@@ -88,29 +79,7 @@ class SeriesRing:
 
     def expand_poly(self, p: SparsePoly) -> "TruncSeries":
         """Expand a polynomial in the X variables around the shift point."""
-        if p.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        out = self.zero()
-        powers: dict[tuple[int, int], TruncSeries] = {}
-
-        def var_power(i: int, k: int) -> "TruncSeries":
-            got = powers.get((i, k))
-            if got is None:
-                got = self.variable(i) if k == 1 else var_power(i, k - 1) * self.variable(i)
-                powers[(i, k)] = got
-            return got
-
-        for e, c in p.terms.items():
-            term = self.constant(c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * var_power(i, k)
-            out = out + term
-        return out
-
-    def expand_fraction(self, num: SparsePoly, den: SparsePoly) -> "TruncSeries":
-        """Expand num/den around the shift point; den must not vanish there."""
-        return self.expand_poly(num) / self.expand_poly(den)
+        return self.from_shifted_poly(p.translate(self.shift))
 
 
 class TruncSeries:
@@ -136,14 +105,6 @@ class TruncSeries:
     @property
     def prec(self) -> int:
         return self.ring.prec
-
-    @property
-    def vars(self):
-        return self.ring.vars
-
-    @property
-    def shift(self):
-        return self.ring.shift
 
     def __bool__(self) -> bool:
         return any(self.comps)

@@ -109,11 +109,6 @@ def trans_basis(family: SupportFamily) -> tuple[int, ...]:
     return tb
 
 
-def trans_basis_examined(family: SupportFamily) -> list[tuple[int, bool]]:
-    """Replay of the greedy search: (variable, accepted) in examination order."""
-    return list(_greedy_search(family))
-
-
 class GammaComponent:
     """One coordinate subset I of the toric cover, with its data."""
 

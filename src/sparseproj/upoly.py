@@ -110,20 +110,6 @@ class UniPoly:
             return UniPoly(())
         return UniPoly(tuple(c * x for x in self.coeffs))
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by Y^k."""
-        if not self.coeffs:
-            return self
-        return UniPoly((0,) * k + self.coeffs)
-
-    def monic(self) -> "UniPoly":
-        if not self.coeffs:
-            return self
-        lc = self.coeffs[-1]
-        if lc == 1:
-            return self
-        return UniPoly(tuple(c / lc for c in self.coeffs))
-
     def derivative(self) -> "UniPoly":
         return UniPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k))
 
@@ -161,15 +147,6 @@ def upoly_divrem(a: UniPoly, b: UniPoly):
 
 def upoly_mod(a: UniPoly, b: UniPoly) -> UniPoly:
     return upoly_divrem(a, b)[1]
-
-
-def upoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over a coefficient field; gcd(a, 0) = monic a."""
-    if a.is_zero() and b.is_zero():
-        raise ZeroDivisionError("gcd(0, 0) undefined")
-    while not b.is_zero():
-        a, b = b, upoly_mod(a, b)
-    return a.monic()
 
 
 def upoly_ext_inv(a: UniPoly, q: UniPoly) -> UniPoly:

@@ -157,7 +157,7 @@ def solve_toric_0d(system, lam, *, check: bool = True) -> GeometricResolution:
     # the powers span the quotient, so every coordinate is in their span
     params = {}
     for v in range(m):
-        xv = normal_form(SparsePoly.variable(n1, v), gb)
+        xv = normal_form(SparsePoly.monomial(n1, [int(j == v) for j in range(n1)]), gb)
         params[v] = UniPoly(krylov.solve(coords(xv)))
     res = GeometricResolution((), tuple(range(m)), lam, q, params)
     if check:

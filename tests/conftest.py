@@ -35,6 +35,11 @@ def random_poly(rng, nvars, max_terms=5, max_exp=3, bound=20):
     return p if p else SparsePoly.const(nvars, 1)
 
 
+def expand_fraction(ring, num, den):
+    """Expand num/den around the ring's shift point; den must not vanish there."""
+    return ring.expand_poly(num) / ring.expand_poly(den)
+
+
 def threevar_system():
     """The worked three-variable system with X1 as parameter."""
     g1 = SparsePoly(3, {(0, 0, 0): 2, (1, 1, 0): 3, (0, 1, 1): -1})

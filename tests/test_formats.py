@@ -4,13 +4,14 @@ from conftest import fivevar_system, threevar_system
 from sparseproj.formats import (
     ParseError,
     emit_resolution,
-    emit_system,
     parse_ratfun,
     parse_resolution,
     parse_system,
 )
-from sparseproj.mpoly import SparsePoly
+from sparseproj.mpoly import SparsePoly, grlex_key
 from sparseproj.projection import ProjectionProblem, q_projection
+from sparseproj.rat import rat_str
+from sparseproj.zerodim import DEFAULT_BOUND, DEFAULT_RETRIES
 
 SYSTEM_5VAR = """\
 # five variables, two equations, project to the first three
@@ -50,6 +51,22 @@ def test_parse_system_errors():
         parse_system("system n=1 r=2 l=1\npoly\n0 : 1\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_system("system n=2 r=1 l=1\nprecision 30\npoly\n0 1 : 1\n")
+
+
+def emit_system(problem) -> str:
+    """The SystemFile text of a problem, terms in descending graded-lex order."""
+    out = [f"system n={problem.n} r={problem.r} l={problem.ell}"]
+    if problem.seed:
+        out.append(f"seed {problem.seed}")
+    if problem.bound != DEFAULT_BOUND:
+        out.append(f"bound {problem.bound}")
+    if problem.retry_limit != DEFAULT_RETRIES:
+        out.append(f"retries {problem.retry_limit}")
+    for p in problem.system:
+        out.append("poly")
+        for e in sorted(p.terms, key=grlex_key, reverse=True):
+            out.append(" ".join(str(x) for x in e) + " : " + rat_str(p.terms[e]))
+    return "\n".join(out) + "\n"
 
 
 def test_system_roundtrip():

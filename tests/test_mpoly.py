@@ -49,6 +49,20 @@ def test_reindex_rejects_live_variable():
     assert p.reindex([0, 2]) == P(2, {(1, 2): 1})
 
 
+def test_translate_is_the_taylor_shift():
+    rng = random.Random(5)
+    for _ in range(20):
+        p = P(3, {tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(-9, 9)
+                  for _ in range(4)})
+        shift = tuple(rat(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3))
+        moved = p.translate(shift)
+        assert moved.translate(tuple(-x for x in shift)) == p
+        point = tuple(rat(rng.randint(-4, 4)) for _ in range(3))
+        assert moved.eval_all(point) == p.eval_all([x + y for x, y in zip(point, shift)])
+    with pytest.raises(ValueError, match="shift length"):
+        P(2, {(1, 0): 1}).translate((1,))
+
+
 def test_exact_div_and_failure():
     x, y = P(2, {(1, 0): 1}), P(2, {(0, 1): 1})
     prod = (x + y) * (x - y)

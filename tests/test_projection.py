@@ -505,3 +505,10 @@ def test_fully_pinned_projection_draws_nothing():
     result = q_projection(ProjectionProblem(threevar_system(), 2, bound=0, lam=(0, 1),
                                             xi=(1,), mu=(1,)))
     assert result.provenance["b"] == () and result.resolution.degree() == 2
+
+
+def test_pinned_xi_of_the_wrong_length_is_rejected():
+    # threevar_system with l = 2 has t = 1 free variable, so xi has one entry
+    for xi in ((), (1, 5)):
+        with pytest.raises(ValueError, match="xi must have 1 entries"):
+            q_projection(ProjectionProblem(threevar_system(), 2, xi=xi))

@@ -7,11 +7,11 @@ from sparseproj.polytope import Support, SupportFamily
 from sparseproj.supports import (
     DegenerateFamily,
     VarOrder,
+    _greedy_search,
     family_dim_ok,
     gamma_decomposition,
     project_supports,
     trans_basis,
-    trans_basis_examined,
 )
 
 
@@ -44,7 +44,7 @@ def test_trans_basis_degenerate():
 def test_trans_basis_greedy_replay():
     fam = five_var_family()
     tb = trans_basis(fam)
-    examined = trans_basis_examined(fam)
+    examined = list(_greedy_search(fam))
     seen = dict(examined)
     # every variable below max(TB) was examined; rejections are genuine
     for k in range(max(tb)):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparseproj.rat import rat
-from sparseproj.upoly import UniPoly, upoly_divrem, upoly_gcd, upoly_mod
+from sparseproj.upoly import UniPoly, upoly_divrem
 
 
 def U(*coeffs):
@@ -32,15 +32,6 @@ def test_divrem_zero_divisor():
         upoly_divrem(U(1), UniPoly.zero())
 
 
-def test_gcd_examples():
-    assert upoly_gcd(U(-1, 0, 1), U(-1, 1)) == U(-1, 1)
-    # squarefree check on the fiber minimal polynomial: discriminant nonzero
-    q = U((-1, 5), (-12, 5), 1)
-    assert upoly_gcd(q, q.derivative()).degree() == 0
-    # gcd with zero is the monic normalization
-    assert upoly_gcd(U(2, 4), UniPoly.zero()) == U((1, 2), 1)
-
-
 coeffs = st.lists(st.integers(-20, 20), min_size=0, max_size=6)
 
 
@@ -54,16 +45,3 @@ def test_divrem_reconstruction(a, b):
     q, r = upoly_divrem(pa, pb)
     assert q * pb + r == pa
     assert r.degree() < pb.degree()
-
-
-@settings(max_examples=60, deadline=None)
-@given(coeffs, coeffs)
-def test_gcd_divides(a, b):
-    pa = UniPoly([rat(c) for c in a])
-    pb = UniPoly([rat(c) for c in b])
-    if pa.is_zero() and pb.is_zero():
-        return
-    g = upoly_gcd(pa, pb)
-    for p in (pa, pb):
-        if not p.is_zero():
-            assert upoly_mod(p, g).is_zero()

@@ -4,7 +4,7 @@ from conftest import random_poly, run_guarded, threevar_fiber
 from sparseproj.mpoly import SparsePoly
 from sparseproj.polytope import Support, SupportFamily, mixed_volume
 from sparseproj.rat import rat
-from sparseproj.upoly import UniPoly, upoly_gcd, upoly_mod
+from sparseproj.upoly import UniPoly, upoly_mod
 from sparseproj.zerodim import (
     Composition,
     Draws,
@@ -16,6 +16,14 @@ from sparseproj.zerodim import (
     solve_separating,
     solve_toric_0d,
 )
+
+
+def upoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd over Q by the plain Euclidean algorithm, independent of the
+    package's integer gcd."""
+    while not b.is_zero():
+        a, b = b, upoly_mod(a, b)
+    return a.scale(1 / a.lc())
 
 
 def _unit_squares():
