@@ -7,15 +7,20 @@ few call sites whole coefficient objects); they carry the sparse products of
 of truncated series, the lift's and the Pade residual's hot loop: it takes
 Rat coefficients only, clears denominators once per operand and convolves
 Python ints, with ``SMALL_PRODUCT`` as the size below which it multiplies the
-Rat coefficients directly.  A compiled build of these loops was at most a
-few percent faster end to end, so there is none.
+Rat coefficients directly.  ``dense_mul`` and ``dense_divrem`` are the same
+idea for dense polynomials in one variable over Q, the product and the
+division with remainder of ``upoly`` that every audit of a fiber runs mod q:
+the first convolves integer numerators, the second is a fraction-free
+(pseudo-)division, and both normalise each output coefficient once.  A
+compiled build of these loops was at most a few percent faster end to end,
+so there is none.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .rat import rat
+from .rat import RAT_ZERO, rat
 
 
 def poly_mul(a: dict, b: dict) -> dict:
@@ -143,3 +148,60 @@ def _over_common_denominator(comps: list, base: int):
             terms.append((k, c.numerator * (den // c.denominator)))
         out.append((d, terms))
     return out, den
+
+
+def _integer_vector(coeffs) -> tuple[list, int]:
+    """Int or Rat coefficients as integer numerators over their lcm
+    denominator, and that denominator."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def dense_mul(ac, bc) -> list:
+    """Product of dense coefficient sequences (lowest degree first) over Q.
+
+    Entries are ints or Rats.  Each operand is written over one common
+    denominator, the integer numerators are convolved, and every output
+    coefficient is normalised once, as ``rat(N, da*db)``.
+    """
+    a, da = _integer_vector(ac)
+    b, db = _integer_vector(bc)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    den = da * db
+    return [rat(n, den) for n in out]
+
+
+def dense_divrem(ac, bc) -> tuple[list, list]:
+    """Quotient and remainder of dense coefficient sequences over Q.
+
+    Entries are ints or Rats, ``bc`` ends in a nonzero entry and is no
+    longer than ``ac``.  With the divisor written as B/d_B and L = B[-1],
+    the dividend is kept as integers A over one denominator ``den``; the
+    step that clears the coefficient ``top`` of Y^(k+n) records the quotient
+    coefficient ``rat(top*d_B, den*L)`` and sets A <- L*A - top*Y^k*B,
+    den <- den*L (Knuth, TAOCP vol. 2, 4.6.1).  The factor L reaches a
+    coefficient of A below the current window only when the window first
+    covers it.  The remainder is normalised once per coefficient.
+    """
+    a, den = _integer_vector(ac)
+    b, db = _integer_vector(bc)
+    n = len(b) - 1
+    lead = b[-1]
+    top_k = len(a) - 1 - n
+    quo = [RAT_ZERO] * (top_k + 1)
+    scale = 1  # product of the L of every step so far
+    for k in range(top_k, -1, -1):
+        a[k] *= scale
+        top = a[k + n]
+        if not top:
+            continue
+        quo[k] = rat(top * db, den * lead)
+        for i in range(n):
+            a[k + i] = lead * a[k + i] - top * b[i]
+        den *= lead
+        scale *= lead
+    return quo, [rat(x, den) for x in a[:n]]

@@ -266,14 +266,14 @@ class SparsePoly:
                 powers[(i, k)] = got
             return got
 
-        out = SparsePoly.zero(n)
+        out: dict = {}
         for e, c in self.terms.items():
-            term = SparsePoly.const(n, c)
+            term = None
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+                    term = power(i, k) if term is None else term * power(i, k)
+            poly_addmul(out, c, {(0,) * n: RAT_ONE} if term is None else term.terms)
+        return SparsePoly(n, out, _clean=True)
 
     def reindex(self, positions) -> "SparsePoly":
         """Keep the variables at ``positions`` (in order), drop the rest.

@@ -6,11 +6,26 @@ TruncSeries all work, as do plain ints (which the domains absorb on contact).
 ``divrem`` divides by the leading coefficient, so over the truncated-series
 ring it raises whenever that coefficient is not a unit -- exactly the
 genericity failures the drivers catch and retry.
+
+Over Q (every coefficient an int or a Rat) products and divisions go to the
+integer kernels ``kernels.dense_mul`` and ``kernels.dense_divrem``, which
+return the same canonical rationals with one gcd per output coefficient.
+Every other domain keeps the coefficient loops here.
 """
 
 from __future__ import annotations
 
+from .kernels import dense_divrem, dense_mul
 from .mpoly import SparsePoly, mpoly_gcd
+from .rat import RAT_ONE, Rat
+
+
+def _over_q(coeffs) -> bool:
+    """Every coefficient an int or a Rat; stops at the first that is not."""
+    for c in coeffs:
+        if type(c) is not Rat and type(c) is not int:
+            return False
+    return True
 
 
 class UniPoly:
@@ -96,6 +111,8 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly(())
+        if _over_q(a) and _over_q(b):
+            return UniPoly(dense_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -128,6 +145,9 @@ def upoly_divrem(a: UniPoly, b: UniPoly):
     da, db = a.degree(), b.degree()
     if da < db:
         return UniPoly(()), a
+    if _over_q(a.coeffs) and _over_q(b.coeffs):
+        quo, rem = dense_divrem(a.coeffs, b.coeffs)
+        return UniPoly(quo), UniPoly(rem)
     rem = list(a.coeffs)
     lb = b.lc()
     monic = lb == 1
@@ -156,7 +176,8 @@ def upoly_ext_inv(a: UniPoly, q: UniPoly) -> UniPoly:
     ZeroDivisionError when a is not invertible mod q (non-unit gcd).
     """
     r0, r1 = q, upoly_mod(a, q)
-    t0, t1 = UniPoly(()), UniPoly.const(1)
+    # a rational 1, so that a constant int ``a`` inverts to a Rat
+    t0, t1 = UniPoly(()), UniPoly.const(RAT_ONE)
     while not r1.is_zero():
         quo, rem = upoly_divrem(r0, r1)
         r0, r1 = r1, rem

@@ -1,9 +1,20 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparseproj.kernels import dense_divrem, dense_mul
+from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
-from sparseproj.upoly import UniPoly, upoly_divrem
+from sparseproj.ratfun import RatFun
+from sparseproj.upoly import (
+    UniPoly,
+    _over_q,
+    upoly_coprime,
+    upoly_divrem,
+    upoly_ext_inv,
+)
 
 
 def U(*coeffs):
@@ -45,3 +56,157 @@ def test_divrem_reconstruction(a, b):
     q, r = upoly_divrem(pa, pb)
     assert q * pb + r == pa
     assert r.degree() < pb.degree()
+
+
+# -- the integer kernels against a schoolbook oracle --------------------------
+#
+# Over Q, products and divisions go to ``kernels.dense_mul`` and
+# ``kernels.dense_divrem``.  The oracle below is the plain coefficient loop,
+# generic over the domain: over Fraction it is the reference for the kernels,
+# over RatFun the reference for the loop that such coefficients keep.
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def oracle_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def oracle_divrem(a, b):
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], _trim(a)
+    rem = list(a)
+    quo = [0] * (len(a) - n)
+    for k in range(len(a) - 1 - n, -1, -1):
+        f = rem[k + n] / b[-1]
+        quo[k] = f
+        for i, c in enumerate(b):
+            rem[k + i] = rem[k + i] - f * c
+    return _trim(quo), _trim(rem[:n])
+
+
+BIG = 2 ** 200
+scalars = st.one_of(
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    st.integers(-BIG, BIG),
+    st.integers(-3, 3),
+    st.just(Fraction(0)),
+)
+polys = st.lists(scalars, min_size=0, max_size=9).map(_trim)
+divisors = st.lists(scalars, min_size=1, max_size=6).map(_trim).filter(bool)
+
+
+def coeffs_of(p: UniPoly):
+    return list(p.coeffs)
+
+
+def over_q(cs):
+    # the oracle's division of two ints would give a float
+    return [Fraction(c) for c in cs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys)
+def test_product_matches_schoolbook(a, b):
+    assert coeffs_of(UniPoly(a) * UniPoly(b)) == oracle_mul(a, b)
+    if a and b:
+        assert _trim(dense_mul(a, b)) == oracle_mul(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, divisors, st.booleans())
+def test_divrem_matches_schoolbook(a, b, monic):
+    if monic:
+        b = [Fraction(c) / b[-1] for c in b]
+    quo, rem = upoly_divrem(UniPoly(a), UniPoly(b))
+    want_q, want_r = oracle_divrem(over_q(a), over_q(b))
+    assert coeffs_of(quo) == want_q and coeffs_of(rem) == want_r
+    if len(a) >= len(b):
+        assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
+        kq, kr = dense_divrem(a, b)
+        assert _trim(kq) == want_q and _trim(kr) == want_r
+
+
+def test_integer_path_edge_cases():
+    # int coefficients, a non-monic divisor, zero operands, deg a < deg b
+    a = UniPoly([3, 0, -7, 2, 5, 1])
+    b = UniPoly([1, -2, 4])
+    quo, rem = upoly_divrem(a, b)
+    assert coeffs_of(quo) == oracle_divrem(over_q(a.coeffs), over_q(b.coeffs))[0]
+    assert quo * b + rem == a and rem.degree() < b.degree()
+    assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
+    assert (a * UniPoly.zero()).is_zero() and (UniPoly.zero() * a).is_zero()
+    quo, rem = upoly_divrem(UniPoly.zero(), b)
+    assert quo.is_zero() and rem.is_zero()
+    quo, rem = upoly_divrem(b, a)
+    assert quo.is_zero() and rem is b
+    # a dividend that is an exact multiple leaves no remainder
+    quo, rem = upoly_divrem(a * b, b)
+    assert quo == a and rem.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, divisors)
+def test_ext_inv_over_q(a, q):
+    if len(q) < 2:
+        return
+    pa, pq = UniPoly(a), UniPoly(q)
+    try:
+        inv = upoly_ext_inv(pa, pq)
+    except ZeroDivisionError:
+        # not invertible: a common factor of positive degree, or a = 0 mod q
+        assert not upoly_coprime(upoly_divrem(pa, pq)[1], pq) \
+            or upoly_divrem(pa, pq)[1].is_zero()
+        return
+    assert inv.degree() < pq.degree()
+    assert all(type(c) is Fraction for c in inv.coeffs)
+    assert oracle_divrem(oracle_mul(over_q(a), list(inv.coeffs)), over_q(q))[1] == [1]
+
+
+ratfuns = st.builds(
+    lambda n, d: RatFun(SparsePoly(1, {(k,): c for k, c in enumerate(n)}),
+                        SparsePoly(1, {(0,): 1, (1,): d})),
+    st.lists(st.integers(-9, 9), min_size=0, max_size=3), st.integers(0, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(ratfuns, max_size=4).map(_trim),
+       st.lists(ratfuns, min_size=1, max_size=3).map(_trim).filter(bool))
+def test_ratfun_coefficients_keep_the_loop(a, b):
+    # the integer kernels must not see RatFun coefficients; the loop gives
+    # what the schoolbook oracle gives over Q(X1)
+    import sparseproj.upoly as upoly
+
+    def refuse(*args):
+        raise AssertionError("integer kernel called on RatFun coefficients")
+
+    saved = upoly.dense_mul, upoly.dense_divrem
+    upoly.dense_mul = upoly.dense_divrem = refuse
+    try:
+        assert coeffs_of(UniPoly(a) * UniPoly(b)) == oracle_mul(a, b)
+        quo, rem = upoly_divrem(UniPoly(a), UniPoly(b))
+    finally:
+        upoly.dense_mul, upoly.dense_divrem = saved
+    want_q, want_r = oracle_divrem(a, b)
+    assert coeffs_of(quo) == want_q and coeffs_of(rem) == want_r
+
+
+def test_coefficient_check_stops_at_the_first_other_domain():
+    def coeffs():
+        yield RatFun.from_const(1, 2)
+        raise AssertionError("read past the first non-rational coefficient")
+
+    assert not _over_q(coeffs())
+    assert _over_q([1, Fraction(1, 2), 0]) and not _over_q([1, 0.5])

@@ -9,8 +9,10 @@ from sparseproj.zerodim import (
     Composition,
     Draws,
     GenericityFailure,
+    GeometricResolution,
     LambdaNotSeparating,
     NonGenericInput,
+    audit_0d,
     count_toric_roots,
     fraction_term,
     solve_separating,
@@ -64,6 +66,26 @@ def test_membership_and_saturation_invariants():
     for v, c in zip(res.dep_vars, res.lam):
         lam_comb = lam_comb + res.params[v].scale(rat(c))
     assert upoly_mod(lam_comb - UniPoly([rat(0), rat(1)]), res.q).is_zero()
+
+
+def test_audit_rejects_one_changed_coefficient():
+    # a fiber of degree 11; lambda ignores X3, so a changed v_3 leaves
+    # sum lambda_j v_j = Y intact and only the membership identities see it
+    system = [SparsePoly(3, {(1, 3, 0): -7, (0, 2, 0): 7, (1, 0, 0): 4}),
+              SparsePoly(3, {(0, 1, 0): 8, (3, 0, 0): -2, (0, 3, 0): -2, (0, 1, 2): 4}),
+              SparsePoly(3, {(0, 2, 1): -6, (1, 2, 0): 8})]
+    res = solve_toric_0d(system, (1, 3, 0))
+    assert res.degree() == 11
+    audit_0d(res, system)
+    k = res.degree() // 2
+    bad_v = dict(res.params)
+    bad_v[2] = UniPoly([c + rat(1, 3) if i == k else c
+                        for i, c in enumerate(res.params[2].coeffs)])
+    with pytest.raises(NonGenericInput, match="membership"):
+        audit_0d(GeometricResolution((), res.dep_vars, res.lam, res.q, bad_v), system)
+    bad_q = UniPoly([c + rat(1, 3) if i == k else c for i, c in enumerate(res.q.coeffs)])
+    with pytest.raises(NonGenericInput, match="membership"):
+        audit_0d(GeometricResolution((), res.dep_vars, res.lam, bad_q, res.params), system)
 
 
 def test_lambda_not_separating_detected_and_policy():
