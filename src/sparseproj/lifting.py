@@ -19,19 +19,24 @@ previous one (each system polynomial composed with the current
 parametrization vanishes modulo q through the trusted degree) and, through
 ``zerodim.linear_form``, the separating-form consistency sum lambda_j w_j = Y.
 
-A lift may stop at any precision and resume from the LiftedResolution it
-returned; the doubling schedule, and so every series coefficient, is the same
-as in one uninterrupted call.  The projection driver lifts this way one
-doubling at a time, up to the cap 2 * MV(S, Delta^(t)), and certifies the
-reconstruction after every step with the same exact audit; it stops at the
-first certified one.  Reductions modulo the monic q go through
-``upoly_mod``, which never divides by a leading coefficient of 1.
+``newton_hensel_lift`` is a generator: it yields the lifted resolution after
+each doubling, at precisions 1, 3, 7, ... capped at kappa, and asserts the
+residual of the last one before yielding it.  The projection driver
+certifies a reconstruction after every yield and stops at the first
+certified one.  Reductions modulo the monic q go through ``upoly_mod``,
+which never divides by a leading coefficient of 1.
+
+J c = G is solved by the adjugate of J, from cofactors, times d = det(J)^(-1)
+mod q.  The lift computes d once, at the fiber, by ``upoly_ext_inv`` over Q
+(a det that is not invertible there raises SingularJacobian), and each later
+doubling refines it by one Newton step d <- d * (2 - det(J) * d) mod q, which
+doubles the degree through which d is right.  No series is ever divided.
 
 Two cost facts shape the implementation: components below the trusted degree
 are exactly zero in all residuals, so the sparse component dicts skip that
 work automatically; and the Jacobian inverse is only ever needed through
-degree (new precision) - (old precision) - 1, so the adjugate/determinant
-solve runs on truncated copies.
+degree (new precision) - (old precision) - 1, so the determinant, the
+adjugate and the Newton step run on truncated copies.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import functools
 
 from .mpoly import SparsePoly
 from .rat import rat
-from .series import NonUnitSeries, SeriesRing, TruncSeries
+from .series import SeriesRing, TruncSeries
 from .upoly import UniPoly, upoly_ext_inv, upoly_is_squarefree, upoly_mod
 from .zerodim import Composition, linear_form
 
@@ -86,13 +91,15 @@ def _series_term(ring: SeriesRing):
     return lambda e, c: expand(e) * c
 
 
-def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
-    """Solve J c = G mod q via adjugate and determinant.
+def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
+    """Solve J c = G mod q; returns c and det(J)^(-1) mod q for the next step.
 
     The corrections have valuation above the previously trusted degree, so
     the inverse Jacobian only matters through degree ``cut``: determinant,
-    adjugate and the modular inverse all run in a ring truncated there,
-    which keeps the extended Euclidean arithmetic away from full precision.
+    adjugate and the inverse of the determinant run in a ring truncated
+    there.  ``d_inv`` is None at the fiber (cut 0), where the inverse comes
+    from ``upoly_ext_inv`` over Q; otherwise it is the previous step's, and
+    one Newton step makes it right through ``cut``.
     """
     m = len(gvec)
     small = ring.with_prec(cut)
@@ -102,9 +109,6 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
     def det(rows):
         if len(rows) == 1:
             return rows[0][0]
-        if len(rows) == 2:
-            return (upoly_mod(rows[0][0] * rows[1][1], qc)
-                    - upoly_mod(rows[0][1] * rows[1][0], qc))
         acc = UniPoly.zero()
         for j in range(len(rows)):
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
@@ -112,10 +116,20 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
 
-    try:
-        d_inv = _reringed(upoly_ext_inv(det(jc), qc), ring)
-    except (NonUnitSeries, ZeroDivisionError) as exc:
-        raise SingularJacobian("singular Jacobian at the expansion point") from exc
+    dj = det(jc)
+    if d_inv is None:
+        def over_q(p: UniPoly) -> UniPoly:
+            return p.map_coeffs(
+                lambda c: c.constant_term() if isinstance(c, TruncSeries) else c)
+
+        try:
+            d_inv = upoly_ext_inv(over_q(dj), over_q(qc)).map_coeffs(small.constant)
+        except ZeroDivisionError as exc:
+            raise SingularJacobian("singular Jacobian at the expansion point") from exc
+    else:
+        d_inv = _reringed(d_inv, small)
+        d_inv = upoly_mod(d_inv * (UniPoly.const(2) - upoly_mod(dj * d_inv, qc)), qc)
+    d_full = _reringed(d_inv, ring)
 
     # adjugate: adj[i][j] = (-1)^{i+j} * minor_{j,i}
     out = []
@@ -126,23 +140,19 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, cut: int, ring: SeriesRing):
             cof = _reringed(det(minor), ring) if m > 1 else UniPoly.const(1)
             term = upoly_mod(cof * gvec[j], q)
             acc = acc + term if (i + j) % 2 == 0 else acc - term
-        out.append(upoly_mod(acc * d_inv, q))
-    return out
+        out.append(upoly_mod(acc * d_full, q))
+    return out, d_inv
 
 
-def newton_hensel_lift(system, base, xi, kappa: int, *,
-                       final_check: bool = True) -> LiftedResolution:
-    """Lift a fiber resolution to truncated-series coefficients of order kappa.
+def newton_hensel_lift(system, base, xi, kappa: int):
+    """Lift a fiber resolution, yielding it after each doubling up to order kappa.
 
     ``system``: m polynomials in t+m variables (free variables first);
-    ``base``: resolution of system(xi, .) with simple roots, or an already
-    lifted resolution to resume from a lower precision; ``xi``: the
-    expansion point (length t).  Raises SingularJacobian when the Jacobian
-    is not invertible modulo q at xi, LiftingError on precondition failures.
-
-    ``final_check=False`` skips the closing residual evaluation: a caller
-    that resumes the lift from the result gets the same assertion from the
-    first step of the next call, which evaluates that residual anyway.
+    ``base``: resolution of system(xi, .) with simple roots; ``xi``: the
+    expansion point (length t).  Yields the LiftedResolution at precisions
+    1, 3, 7, ..., capped at ``kappa``; kappa = 0 yields nothing.  Raises
+    SingularJacobian when the Jacobian is not invertible modulo q at xi,
+    LiftingError on precondition failures and failed checks.
     """
     xi = tuple(rat(x) for x in xi)
     t = len(xi)
@@ -150,44 +160,30 @@ def newton_hensel_lift(system, base, xi, kappa: int, *,
     m = len(system)
     if any(g.nvars != t + m for g in system):
         raise ValueError("system must live in t+m variables")
+    if base.free_vars:
+        raise LiftingError("base resolution must have no free variables")
+    if base.degree() < 1:
+        raise LiftingError("base resolution has no roots to lift")
+    if not upoly_is_squarefree(base.q):
+        raise LiftingError("base resolution is not squarefree (simple roots required)")
 
     jacobian = [[g.derivative(t + j) for j in range(m)] for g in system]
-
-    if isinstance(base, LiftedResolution):
-        if base.ring.shift != xi:
-            raise LiftingError("resumed lift must keep the expansion point")
-        lam = base.lam
-        ring = base.ring
-        q = base.q
-        w = dict(base.params)
-        prec = base.precision
-        if prec >= kappa:
-            raise LiftingError("resume precision must be below the target")
-    else:
-        if base.free_vars:
-            raise LiftingError("base resolution must have no free variables")
-        if base.degree() < 1:
-            raise LiftingError("base resolution has no roots to lift")
-        if not upoly_is_squarefree(base.q):
-            raise LiftingError("base resolution is not squarefree (simple roots required)")
-        lam = base.lam
-        ring = SeriesRing(tuple(range(t)), xi, 0)
-        q = base.q.map_coeffs(lambda c: ring.constant(c))
-        w = {t + j: base.params[j].map_coeffs(lambda c: ring.constant(c))
-             for j in range(m)}
-        prec = 0
+    lam = base.lam
+    ring = SeriesRing(tuple(range(t)), xi, 0)
+    q = base.q.map_coeffs(ring.constant)
+    w = {t + j: base.params[j].map_coeffs(ring.constant) for j in range(m)}
+    prec, d_inv = 0, None
     while prec < kappa:
         new_prec = min(2 * prec + 1, kappa)
-        new_ring = ring.with_prec(new_prec)
-        q = q.map_coeffs(lambda c: c.truncated(new_prec, new_ring))
-        w = {v: p.map_coeffs(lambda c: c.truncated(new_prec, new_ring))
-             for v, p in w.items()}
-        compose = Composition(w, q, t, _series_term(new_ring))
+        ring = ring.with_prec(new_prec)
+        q = _reringed(q, ring)
+        w = {v: _reringed(p, ring) for v, p in w.items()}
+        series_term = _series_term(ring)
+        compose = Composition(w, q, t, series_term)
         gvec = [compose(g) for g in system]
         _assert_valuation(gvec, prec, "residual from previous step")
         jmat = [[compose(d) for d in row] for row in jacobian]
-        cut = new_prec - prec - 1
-        cvec = _solve_jacobian(jmat, gvec, q, cut, new_ring)
+        cvec, d_inv = _solve_jacobian(jmat, gvec, q, d_inv, new_prec - prec - 1, ring)
         rho = linear_form(dict(enumerate(cvec)), range(m), lam, q)
 
         new_w = {}
@@ -198,18 +194,14 @@ def newton_hensel_lift(system, base, xi, kappa: int, *,
         if not q.is_monic():
             raise LiftingError("lifted minimal polynomial lost monicity")
         w = new_w
-        ring = new_ring
         prec = new_prec
 
         if upoly_mod(linear_form(w, range(t, t + m), lam, q) - UniPoly.y_power(1), q):
             raise LiftingError("separating-form consistency lost during lifting")
-
-    lifted = LiftedResolution(lam, q, w, ring)
-    if final_check and kappa > 0:
-        compose = Composition(w, q, t, _series_term(ring))
-        gvec = [compose(g) for g in system]
-        _assert_valuation(gvec, kappa, "final residual")
-    return lifted
+        if prec == kappa:
+            compose = Composition(w, q, t, series_term)
+            _assert_valuation([compose(g) for g in system], kappa, "final residual")
+        yield LiftedResolution(lam, q, w, ring)
 
 
 def _assert_valuation(gvec, through: int, what: str) -> None:

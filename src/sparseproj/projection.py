@@ -7,12 +7,14 @@ specialized system (fiber solve, Newton-Hensel lift, rational
 reconstruction), and finally the projection step that rewrites the
 resolution in terms of a separating form mu on the projected coordinates.
 
-The lift doubles its precision one step at a time up to the cap
-2 * MV(S, Delta^(t)).  After each step, the cap included, the series are
+The lift is one generator, ``lifting.newton_hensel_lift``, run to the cap
+2 * MV(S, Delta^(t)); ``_lift_and_reconstruct`` loops over the resolutions
+it yields after each doubling.  Each one, the cap included, is
 reconstructed at degree bound min(floor(prec / 2), MV(S, Delta^(t))), and
 the first reconstruction that passes one exact certificate over Q(X_free),
-``zerodim.audit_parametric``, is returned (see ``_certified``).  A
-candidate refused at the cap is a genericity failure like any other.
+``zerodim.audit_parametric``, is returned (see ``_certified``); the lift
+goes no further.  A candidate refused at the cap is a genericity failure
+like any other.
 
 All random draws come from one seeded ``zerodim.Draws``, in the order b,
 lambda, xi, mu, and are recorded in the result's provenance.  Its ``retry``
@@ -32,7 +34,7 @@ from .pade import NoValidApproximant, pade, shifted_to_ratfun
 from .polytope import Support, SupportFamily, mixed_volume
 from .rat import rat
 from .ratfun import RatFun
-from .series import NonUnitSeries, TruncSeries
+from .series import TruncSeries
 from .supports import VarOrder, project_supports, trans_basis
 from .upoly import UniPoly, upoly_is_squarefree, upoly_mod
 from .zerodim import (
@@ -197,21 +199,20 @@ def _certified(lifted, system, t: int, degree_bound: int, lam) -> GeometricResol
 
 def _lift_and_reconstruct(system, base, xi, t: int, lam,
                           degree_bound: int) -> GeometricResolution:
-    """Lift one doubling at a time; return the first certified reconstruction.
+    """Certify after every doubling of the lift; return the first certified result.
 
-    Every step reconstructs at degree bound min(floor(prec / 2),
-    ``degree_bound``) and certifies the candidate; the cap 2 * degree_bound
-    is the last step, where a refused candidate raises.
+    The lift runs to the cap 2 * ``degree_bound`` (at least 1) and yields
+    after each doubling; each yield is reconstructed at degree bound
+    min(floor(prec / 2), ``degree_bound``) and certified.  A candidate
+    refused below the cap lifts further; one refused at the cap raises.
     """
-    cap = 2 * degree_bound
-    lifted, prec = base, 0
-    while True:
-        prec = min(2 * prec + 1, cap)
-        lifted = newton_hensel_lift(system, lifted, xi, prec, final_check=prec == cap)
+    cap = max(2 * degree_bound, 1)
+    for lifted in newton_hensel_lift(system, base, xi, cap):
         try:
-            return _certified(lifted, system, t, min(prec // 2, degree_bound), lam)
+            return _certified(lifted, system, t, min(lifted.precision // 2, degree_bound),
+                              lam)
         except (NoValidApproximant, NonGenericInput):
-            if prec == cap:
+            if lifted.precision == cap:
                 raise
 
 
@@ -256,8 +257,8 @@ def parametric_toric_geomres(system, t: int, lam=None, *, xi=None,
 
     # xi fails the fiber solve and the lift; at t = 0 there is no xi to blame
     xi_vector = [("xi", xi, lambda: draws.positive(t),
-                  (SingularJacobian, NonUnitSeries, NoValidApproximant,
-                   NonGenericInput, LiftingError))] if t else []
+                  (SingularJacobian, NoValidApproximant, NonGenericInput,
+                   LiftingError))] if t else []
     return draws.retry(attempt,
                        ("lambda", lam, lambda: draws.nonzero(m), (LambdaNotSeparating,)),
                        *xi_vector)

@@ -10,8 +10,9 @@ the X variables enters by one Taylor shift, ``SparsePoly.translate(xi)``,
 which writes it in the Z variables.
 
 Inversion requires a unit (nonzero constant term) and runs the usual
-quadratic Newton iteration; a non-unit raises NonUnitSeries, which the
-drivers treat as a genericity failure.
+quadratic Newton iteration; a non-unit raises NonUnitSeries.  The pipeline
+itself divides no series: the lift inverts its Jacobian determinant over Q
+at the fiber and refines that inverse by Newton steps modulo q.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from conftest import expand_fraction, threevar_fiber, threevar_system
 from sparseproj.lifting import LiftingError, SingularJacobian, _series_term, newton_hensel_lift
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
+from sparseproj.series import TruncSeries
 from sparseproj.upoly import UniPoly
 from sparseproj.projection import parametric_toric_geomres
 from sparseproj.zerodim import Composition, GeometricResolution, fraction_term, solve_toric_0d
@@ -23,8 +24,10 @@ GOLDEN_Q0 = [(-1, 5), (-16, 5), (119, 25), (-174, 25), (1264, 125),
 
 
 def lifted_threevar(kappa=12):
+    """The last resolution the lift of the three-variable system yields."""
     base = solve_toric_0d(threevar_fiber(), (0, 1))
-    return newton_hensel_lift(threevar_system(), base, (1,), kappa)
+    *_, last = newton_hensel_lift(threevar_system(), base, (1,), kappa)
+    return last
 
 
 def test_golden_lift_coefficients():
@@ -40,10 +43,12 @@ def test_golden_lift_coefficients():
     assert w3.degree() == 1 and w3[1] == 1 and not w3[0]
 
 
-def test_kappa_zero_embeds_base():
+def test_kappa_zero_yields_nothing():
     base = solve_toric_0d(threevar_fiber(), (0, 1))
-    lift = newton_hensel_lift(threevar_system(), base, (1,), 0)
-    assert lift.precision == 0
+    assert list(newton_hensel_lift(threevar_system(), base, (1,), 0)) == []
+    # one doubling keeps the base as the constant terms
+    [lift] = newton_hensel_lift(threevar_system(), base, (1,), 1)
+    assert lift.precision == 1
     assert [c.constant_term() for c in lift.q.coeffs] == list(base.q.coeffs)
 
 
@@ -52,22 +57,47 @@ def test_exact_polynomial_parametrization():
     system = [SparsePoly(2, {(0, 1): 1, (2, 0): -1})]
     base = GeometricResolution((), (0,), (1,), UniPoly([rat(-1), rat(1)]),
                                {0: UniPoly([rat(0), rat(1)])})
-    lift = newton_hensel_lift(system, base, (1,), 4)
+    *_, lift = newton_hensel_lift(system, base, (1,), 4)
     assert lift.q.degree() == 1
     const = lift.q[0]
     assert _series_coeffs(const)[:3] == [rat(-1), rat(-2), rat(-1)]
     assert not any(_series_coeffs(const)[3:])
 
 
+def _truncated(p, ring):
+    return p.map_coeffs(lambda c: c.truncated(ring.prec, ring))
+
+
 def test_schedule_independence():
-    full = lifted_threevar(12)
+    base = solve_toric_0d(threevar_fiber(), (0, 1))
+    *steps, full = newton_hensel_lift(threevar_system(), base, (1,), 12)
+    assert [s.precision for s in steps] == [1, 3, 7] and full.precision == 12
+    # every yield is the truncation of the lift to 12
+    for step in steps:
+        assert step.q == _truncated(full.q, step.ring)
+        assert step.params == {v: _truncated(p, step.ring) for v, p in full.params.items()}
+    # and so is a lift with a different cap
     half = lifted_threevar(6)
-    resumed = newton_hensel_lift(threevar_system(), half, (1,), 12)
-    assert resumed.q == full.q
-    assert resumed.params == full.params
-    # and the half lift agrees with the truncation of the full one
     for k in range(half.q.degree() + 1):
         assert _series_coeffs(half.q[k]) == _series_coeffs(full.q[k])[:7]
+
+
+def test_det_inverse_over_q_once_per_lift(monkeypatch):
+    # four doublings, one extended Euclid over Q at the fiber; the later
+    # inverses come from Newton steps, and the golden series stay the same
+    import sparseproj.lifting as lifting
+
+    calls = []
+    real = lifting.upoly_ext_inv
+
+    def recording(a, q):
+        calls.append(all(not isinstance(c, TruncSeries) for c in a.coeffs + q.coeffs))
+        return real(a, q)
+
+    monkeypatch.setattr(lifting, "upoly_ext_inv", recording)
+    lift = lifted_threevar(12)
+    assert calls == [True]
+    assert _series_coeffs(lift.q[1]) == [rat(*f) for f in GOLDEN_Q1]
 
 
 def test_singular_jacobian_detected():
@@ -75,8 +105,8 @@ def test_singular_jacobian_detected():
     system = [SparsePoly(2, {(0, 2): 1, (0, 1): -2, (0, 0): 1})]
     base = GeometricResolution((), (0,), (1,), UniPoly([rat(-1), rat(1)]),
                                {0: UniPoly([rat(1)])})
-    with pytest.raises((SingularJacobian, LiftingError)):
-        newton_hensel_lift(system, base, (1,), 4)
+    with pytest.raises(SingularJacobian):
+        list(newton_hensel_lift(system, base, (1,), 4))
 
 
 def test_requires_squarefree_base():
@@ -85,7 +115,7 @@ def test_requires_squarefree_base():
                                UniPoly([rat(0), rat(0), rat(1)]),
                                {0: UniPoly([rat(0), rat(1)])})
     with pytest.raises(LiftingError):
-        newton_hensel_lift(system, base, (1,), 2)
+        list(newton_hensel_lift(system, base, (1,), 2))
 
 
 def test_one_composition_over_fractions_and_series():

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import types
 
 import pytest
 
@@ -20,6 +22,7 @@ from sparseproj.projection import (
 )
 from sparseproj.rat import rat
 from sparseproj.ratfun import RatFun, ratfun_normalize
+from sparseproj.series import TruncSeries
 from sparseproj.upoly import UniPoly
 from sparseproj.zerodim import GeometricResolution, NonGenericInput, audit_parametric, solve_toric_0d
 
@@ -205,22 +208,31 @@ def test_fivevar_degree_bound_and_precision(monkeypatch):
         mixed_volumes.append(real_mv(family))
         return mixed_volumes[-1]
 
-    # the lift hands its input back and every candidate is refused, so the
-    # doubling runs through to the cap without computing a series
-    targets = []
+    # the lift yields a stand-in at each precision of its doubling schedule
+    # without computing a series, and every candidate is refused, so the
+    # driver runs through to the cap
+    caps, targets = [], []
 
-    def idle_lift(system, base, xi, kappa, **kwargs):
-        targets.append(kappa)
-        return base
+    def idle_lift(system, base, xi, kappa):
+        caps.append(kappa)
+        prec = 0
+        while prec < kappa:
+            prec = min(2 * prec + 1, kappa)
+            yield types.SimpleNamespace(precision=prec)
+
+    def refuse_recording(lifted, *args):
+        targets.append(lifted.precision)
+        _refuse()
 
     monkeypatch.setattr(projection, "mixed_volume", recording_mv)
     monkeypatch.setattr(projection, "parametric_toric_geomres", recording_geomres)
     monkeypatch.setattr(projection, "newton_hensel_lift", idle_lift)
-    monkeypatch.setattr(projection, "_certified", _refuse)
+    monkeypatch.setattr(projection, "_certified", refuse_recording)
     with pytest.raises(GenericityFailure, match="pinned xi"):
         q_projection(ProjectionProblem(fivevar_system(), 3, seed=42, b=(1,), xi=(2, 3)))
     assert mixed_volumes == [66, 22]
     assert (seen["t"], seen["degree_bound"]) == (2, 22)
+    assert caps == [44]
     assert targets == [1, 3, 7, 15, 31, 44]
 
 
@@ -228,13 +240,14 @@ def test_fivevar_degree_bound_and_precision(monkeypatch):
 
 
 def _record_lift_targets(monkeypatch):
-    """Wrap the lift the driver calls; returns the list of target precisions."""
+    """Wrap the lift the driver runs; returns the list of precisions it yields."""
     targets = []
     real = projection.newton_hensel_lift
 
-    def recording(system, base, xi, kappa, **kwargs):
-        targets.append(kappa)
-        return real(system, base, xi, kappa, **kwargs)
+    def recording(system, base, xi, kappa):
+        for lifted in real(system, base, xi, kappa):
+            targets.append(lifted.precision)
+            yield lifted
 
     monkeypatch.setattr(projection, "newton_hensel_lift", recording)
     return targets
@@ -246,7 +259,7 @@ def _full_precision(system, t, lam, xi):
     m = len(system)
     fiber = [g.eval_partial({i: rat(x) for i, x in enumerate(xi)}).reindex(
         list(range(t, t + m))) for g in system]
-    lifted = newton_hensel_lift(system, solve_toric_0d(fiber, lam), xi, 2 * mv)
+    *_, lifted = newton_hensel_lift(system, solve_toric_0d(fiber, lam), xi, 2 * mv)
     return projection._certified(lifted, system, t, mv, lam)
 
 
@@ -317,7 +330,7 @@ def test_certificate_rejects_one_changed_coefficient(res3):
 
 def test_early_candidate_with_changed_series_is_rejected():
     base = solve_toric_0d(threevar_fiber(), (0, 1))
-    lifted = newton_hensel_lift(threevar_system(), base, (1,), 7)
+    *_, lifted = newton_hensel_lift(threevar_system(), base, (1,), 7)
     good = projection._certified(lifted, threevar_system(), 1, 3, (0, 1))
     assert good is not None
     q1 = lifted.q[1]
@@ -394,6 +407,16 @@ def test_no_certified_step_falls_back_to_the_cap(monkeypatch, res3):
     assert res.params == res3.params
 
 
+def test_degree_bound_zero_lifts_once():
+    # X2 = 5 has a resolution constant in X1: degree bound 0 still lifts one
+    # doubling and certifies it, and a wrong bound 0 is refused, not None
+    res = parametric_toric_geomres([SparsePoly(2, {(0, 1): 1, (0, 0): -5})], 1, (1,),
+                                   xi=(1,), degree_bound=0)
+    assert res.q == UniPoly([RatFun.from_const(1, -5), RatFun.from_const(1, 1)])
+    with pytest.raises(GenericityFailure, match="pinned xi"):
+        parametric_toric_geomres(threevar_system(), 1, (0, 1), xi=(1,), degree_bound=0)
+
+
 def test_refused_at_the_cap_with_pinned_xi_is_a_genericity_failure(monkeypatch):
     targets = _record_lift_targets(monkeypatch)
     monkeypatch.setattr(projection, "_certified", _refuse)
@@ -402,10 +425,97 @@ def test_refused_at_the_cap_with_pinned_xi_is_a_genericity_failure(monkeypatch):
     assert targets == [1, 3, 7, 12]
 
 
+# -- three equations: the general cofactor branch of the lift ----------------------
+
+
+THREE_EQUATIONS = {
+    "deg_q_2_cap_10": [{(0, 0, 0, 0): 8, (1, 1, 0, 1): 7, (1, 1, 1, 0): 8},
+                       {(0, 1, 0, 0): -1, (1, 1, 1, 0): -8, (0, 1, 0, 1): -5},
+                       {(1, 1, 0, 1): 7, (1, 1, 0, 0): 6, (1, 0, 1, 0): 4}],
+    "deg_q_2_cap_12": [{(1, 1, 0, 0): 9, (0, 1, 1, 1): -9, (1, 1, 0, 1): 7},
+                       {(0, 1, 1, 1): 5, (1, 1, 1, 0): 9, (0, 1, 0, 0): 1},
+                       {(1, 1, 0, 1): -7, (1, 0, 0, 1): -1, (0, 1, 0, 1): 8}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREE_EQUATIONS))
+def test_three_equations_in_four_variables(monkeypatch, name):
+    # r = 3 and t = 1, so every lift solves a 3 x 3 Jacobian by cofactors,
+    # and inverts its determinant over Q once, at the fiber
+    import sparseproj.lifting as lifting
+
+    system = [SparsePoly(4, {e: rat(c) for e, c in terms.items()})
+              for terms in THREE_EQUATIONS[name]]
+    lifts, inverses = [], []
+    real_lift, real_inv = projection.newton_hensel_lift, lifting.upoly_ext_inv
+
+    def recording_lift(system, base, xi, kappa):
+        lifts.append(len(system))
+        yield from real_lift(system, base, xi, kappa)
+
+    def recording_inv(a, q):
+        inverses.append(all(not isinstance(c, TruncSeries) for c in a.coeffs + q.coeffs))
+        return real_inv(a, q)
+
+    monkeypatch.setattr(projection, "newton_hensel_lift", recording_lift)
+    monkeypatch.setattr(lifting, "upoly_ext_inv", recording_inv)
+    result = q_projection(ProjectionProblem(system, 2, seed=1))
+    assert lifts and set(lifts) == {3}
+    assert inverses == [True] * len(lifts)
+
+    t = result.order.t
+    frame = list(result.order.to_original[:4])
+    parametric = result.parametric
+    assert (t, parametric.dep_vars) == (1, (1, 2, 3))
+    assert verify_resolution(parametric, [g.reindex(frame) for g in system]).passed
+    assert verify_resolution(result.resolution, (parametric, (1,), result.mu)).passed
+    # the point test against an independent fiber solve with the same lambda
+    z = (rat(3, 7),)
+    fiber = [g.reindex(frame).eval_partial({0: z[0]}).reindex([1, 2, 3]) for g in system]
+    at_z = solve_toric_0d(fiber, parametric.lam)
+    assert parametric.q.map_coeffs(lambda c: c.evaluate(z)) == at_z.q
+    for j in range(3):
+        assert parametric.params[1 + j].map_coeffs(lambda c: c.evaluate(z)) == \
+            at_z.params[j]
+
+
+# -- the exact fallback of the squarefree entry -------------------------------------
+
+
+@pytest.mark.parametrize("squarefree", [True, False])
+def test_squarefree_entry_exact_fallback(monkeypatch, squarefree):
+    # q = Y^2 - (X1-2)(X1-3)(X1-5) is squarefree, but its discriminant
+    # vanishes at all three trial points X1 = 2, 3, 5; q = (Y - X1)^2 is
+    # not squarefree anywhere.  Both leave the decision to the exact gcd.
+    x1 = F1({(1,): 1})
+    one = RatFun.from_const(1, 1)
+    if squarefree:
+        q = UniPoly([-(x1 - 2 * one) * (x1 - 3 * one) * (x1 - 5 * one),
+                     RatFun.from_const(1, 0), one])
+        system = [SparsePoly(2, {(0, 2): 1, (3, 0): -1, (2, 0): 10, (1, 0): -31,
+                                 (0, 0): 30})]
+    else:
+        q = UniPoly([x1 * x1, -2 * x1, one])
+        system = [SparsePoly(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})]
+    res = GeometricResolution((0,), (1,), (1,), q,
+                              {1: UniPoly([RatFun.from_const(1, 0), one])})
+    gcds = []
+    real_gcd = projection.mpoly_gcd
+
+    def recording_gcd(a, b):
+        gcds.append(a.nvars)
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(projection, "mpoly_gcd", recording_gcd)
+    entries = dict(verify_resolution(res, system).entries)
+    assert gcds == [2]
+    assert entries["q squarefree"] is squarefree
+    # the membership identity holds either way: only the squarefree entry decides
+    assert entries["membership f1"]
+
+
 def test_tooling_names_stay_in_place():
     # perfbench/worker.py wraps these by name, and a missing one reads 0
-    import types
-
     import sparseproj
     import sparseproj.groebner as groebner
     import sparseproj.kernels as kernels
@@ -421,7 +531,10 @@ def test_tooling_names_stay_in_place():
     # must not shadow the module with it, and projection must call it by name
     assert isinstance(sparseproj.pade, types.ModuleType)
     assert projection.pade is sparseproj.pade.pade
-    assert callable(lifting.newton_hensel_lift)
+    # the span lifting.newton_hensel_lift wraps the one generator the driver
+    # runs; it times the creation of the generator, not the lift
+    assert projection.newton_hensel_lift is lifting.newton_hensel_lift
+    assert inspect.isgeneratorfunction(lifting.newton_hensel_lift)
     # the recorder replaces kernels.series_mul and mpoly.mpoly_gcd wherever
     # those objects are held, so their callers must call those very objects
     assert series.series_mul is kernels.series_mul
