@@ -193,51 +193,45 @@ def cmd_solve0d(args) -> int:
     return 0
 
 
-def _pin_from_assignments(problem: ProjectionProblem, lam, mu, b, xi):
+# One row per pin: flag, ProjectionProblem keyword (also the argparse dest),
+# the VarOrder attribute listing its frame variables, whether it may assign a
+# subset of them (the rest pinned to 0) or must assign exactly them, and the
+# error message.
+_PINS = (
+    ("--lambda", "lam", "dependent_original", True,
+     "--lambda: {var} is not a dependent variable (dependents: {names})"),
+    ("--mu", "mu", "projected_original", True,
+     "--mu: {var} is not a projected dependent variable (projected: {names})"),
+    ("--b", "b", "specialized_original", False,
+     "--b must assign exactly the specialized variables: {names}"),
+    ("--xi", "xi", "free_original", False,
+     "--xi must assign exactly the free variables: {names}"),
+)
+
+
+def _pin_from_assignments(problem: ProjectionProblem, args):
     """Convert per-variable pin assignments into frame-ordered tuples."""
     order = VarOrder(trans_basis(problem.family), problem.n, problem.r, problem.ell)
     kwargs = {}
-    if lam is not None:
-        assign = _parse_assignments(lam, "--lambda")
-        dep = order.dependent_original
-        extra = [v for v in assign if v not in dep]
-        if extra:
-            raise ParseError(
-                f"--lambda: X{extra[0] + 1} is not a dependent variable "
-                f"(dependents: {' '.join('X%d' % (v + 1) for v in dep)})")
-        kwargs["lam"] = tuple(assign.get(v, 0) for v in dep)
-    if mu is not None:
-        assign = _parse_assignments(mu, "--mu")
-        proj = order.projected_original
-        extra = [v for v in assign if v not in proj]
-        if extra:
-            raise ParseError(
-                f"--mu: X{extra[0] + 1} is not a projected dependent variable "
-                f"(projected: {' '.join('X%d' % (v + 1) for v in proj)})")
-        kwargs["mu"] = tuple(assign.get(v, 0) for v in proj)
-    if b is not None:
-        assign = _parse_assignments(b, "--b")
-        spec = order.specialized_original
-        if set(assign) != set(spec):
-            raise ParseError(
-                f"--b must assign exactly the specialized variables: "
-                f"{' '.join('X%d' % (v + 1) for v in spec)}")
-        kwargs["b"] = tuple(assign[v] for v in spec)
-    if xi is not None:
-        assign = _parse_assignments(xi, "--xi")
-        free = order.free_original
-        if set(assign) != set(free):
-            raise ParseError(
-                f"--xi must assign exactly the free variables: "
-                f"{' '.join('X%d' % (v + 1) for v in free)}")
-        kwargs["xi"] = tuple(assign[v] for v in free)
+    for flag, key, frame, subset, message in _PINS:
+        text = getattr(args, key)
+        if text is None:
+            continue
+        assign = _parse_assignments(text, flag)
+        variables = getattr(order, frame)
+        extra = [v for v in assign if v not in variables]
+        if extra or (not subset and len(assign) != len(variables)):
+            raise ParseError(message.format(
+                var=f"X{extra[0] + 1}" if extra else None,
+                names=" ".join(f"X{v + 1}" for v in variables)))
+        kwargs[key] = tuple(assign.get(v, 0) for v in variables)
     return kwargs
 
 
 def cmd_project(args) -> int:
     problem = parse_system(_read(args.file))
     seed, bound, retries = _settings(args, problem)
-    pins = _pin_from_assignments(problem, args.lam, args.mu, args.b, args.xi)
+    pins = _pin_from_assignments(problem, args)
     problem = ProjectionProblem(problem.system, problem.ell, seed=seed, bound=bound,
                                 retry_limit=retries, **pins)
     result = q_projection(problem)

@@ -27,6 +27,16 @@ lower facet of the lifted sum whose share of the mixed volume is positive is
 a fine mixed cell, so the sum is exact: an integer that does not depend on
 the lifting.
 
+One fraction-free elimination and one echelon serve all of this.
+``_int_solve`` is the Bareiss routine (Bareiss, Math. Comp. 1968): forward
+elimination that tracks the sign of its row swaps, then back substitution,
+giving the exact signed determinant and det times the solution.  With a zero
+right-hand side it gives the hull's facet normals and simplex volumes; with
+the heights on the right it gives a candidate cell's inner normal.
+``_echelon_reduce`` keeps primitive rows with distinct pivots: the cell
+search extends it one edge at a time, and ``_int_rank`` counts the rows it
+keeps, for the hull's seed and vertex tests and for ``supports``.
+
 The search is exponential in the dimension, which is fine at the intended
 scale; ``DIM_CAP`` (12) rejects larger ambient dimensions.
 """
@@ -127,62 +137,55 @@ class SupportFamily:
 
 # -- integer linear algebra helpers -------------------------------------------
 
-def _int_det(rows) -> int:
-    """Bareiss fraction-free determinant of a square integer matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+def _int_solve(rows, rhs):
+    """Bareiss fraction-free solve of a square integer system.
+
+    Forward elimination tracks the sign of its row swaps, and fraction-free
+    back substitution follows.  Returns (det, y) with det the exact signed
+    determinant of ``rows`` and y = det * x for the solution x, or (0, None)
+    when ``rows`` is singular.
+    """
+    n = len(rows)
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    sign = prev = 1
+    for k in range(n):
+        if not m[k][k]:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row = m[i]
-            top = m[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk - mik * top[j]) // prev
-            row[k] = 0
+                return 0, None
+        top = m[k]
+        pk = top[k]
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pk - f * top[j]) // prev
         prev = pk
-    return sign * m[n - 1][n - 1]
+    # m is now an upper-triangular integer system equivalent to the input
+    # (zeros below the diagonal left unwritten), and det * x is an integer
+    # vector (Cramer's rule), so each quotient below is exact.
+    det = sign * prev
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        acc = det * row[n]
+        for j in range(k + 1, n):
+            acc -= row[j] * y[j]
+        y[k] = acc // row[k]
+    return det, y
 
 
 def _int_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for i in range(row, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pval = m[row][col]
-        for i in range(row + 1, len(m)):
-            f = m[i][col]
-            if f:
-                m[i] = [a * pval - f * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    """Rank of an integer matrix: the number of rows the echelon keeps."""
+    echelon = []
+    for r in rows:
+        reduced = _echelon_reduce(echelon, r)
+        if reduced is not None:
+            echelon.append(reduced)
+    return len(echelon)
 
 
 def _facet_normal(pts):
@@ -195,20 +198,12 @@ def _facet_normal(pts):
     sign = 1
     for i in range(d):
         minor = [r[:i] + r[i + 1:] for r in rows]
-        normal.append(sign * _int_det(minor))
+        normal.append(sign * _int_solve(minor, [0] * (d - 1))[0])
         sign = -sign
     return tuple(normal)
 
 
 # -- beneath-beyond hull --------------------------------------------------------
-
-def _hull_1d(pts):
-    vals = [p[0] for p in pts]
-    lo, hi = min(vals), max(vals)
-    vol = hi - lo
-    corners = [(lo,)] if lo == hi else [(lo,), (hi,)]
-    return vol, corners
-
 
 def hull_volume_and_corners(points):
     """Exact d!-scaled volume of conv(points) plus its vertices.
@@ -223,8 +218,6 @@ def hull_volume_and_corners(points):
     d = len(pts[0])
     if len(pts) == 1:
         return 0, pts
-    if d == 1:
-        return _hull_1d(pts)
 
     # greedy affinely independent seed of d+1 points
     seed = [0]
@@ -258,8 +251,7 @@ def hull_volume_and_corners(points):
             offset = -offset
         facets[frozenset(idx_tuple)] = (normal, offset)
 
-    first = _int_det(rows)
-    vol_scaled = abs(first)
+    vol_scaled = abs(_int_solve(rows, [0] * d)[0])
     for drop in range(d + 1):
         add_facet(tuple(seed[i] for i in range(d + 1) if i != drop))
 
@@ -274,8 +266,8 @@ def hull_volume_and_corners(points):
         ridge_count = {}
         for key in visible:
             verts = tuple(key)
-            vol_scaled += abs(_int_det(
-                [[x - y for x, y in zip(pts[v], p)] for v in verts]))
+            vol_scaled += abs(_int_solve(
+                [[x - y for x, y in zip(pts[v], p)] for v in verts], [0] * d)[0])
             for v in verts:
                 ridge = key - {v}
                 ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
@@ -398,28 +390,6 @@ def _echelon_reduce(echelon, v):
             g = gcd(*v)
             return p, [y // g for y in v]
     return None
-
-
-def _int_solve(rows, rhs):
-    """Fraction-free Gauss-Jordan (Bareiss) solve of a nonsingular system.
-
-    Returns (d, y) with d = +-det(rows) and solution y / d.
-    """
-    n = len(rows)
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(n):
-        if not m[k][k]:
-            i = next(i for i in range(k + 1, n) if m[i][k])
-            m[k], m[i] = m[i], m[k]
-        top = m[k]
-        pk = top[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(x * pk - f * t) // prev for x, t in zip(m[i], top)]
-        prev = pk
-    return prev, [row[n] for row in m]
 
 
 def _cell_volume(members, heights, cell, rows):

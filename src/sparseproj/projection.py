@@ -10,11 +10,11 @@ resolution in terms of a separating form mu on the projected coordinates.
 The lift is one generator, ``lifting.newton_hensel_lift``, run to the cap
 2 * MV(S, Delta^(t)); ``_lift_and_reconstruct`` loops over the resolutions
 it yields after each doubling.  Each one, the cap included, is
-reconstructed at degree bound min(floor(prec / 2), MV(S, Delta^(t))), and
-the first reconstruction that passes one exact certificate over Q(X_free),
-``zerodim.audit_parametric``, is returned (see ``_certified``); the lift
-goes no further.  A candidate refused at the cap is a genericity failure
-like any other.
+reconstructed at degree bound floor(prec / 2), which reaches
+MV(S, Delta^(t)) at the cap, and the first reconstruction that passes one
+exact certificate over Q(X_free), ``zerodim.audit_parametric``, is
+returned (see ``_certified``); the lift goes no further.  A candidate
+refused at the cap is a genericity failure like any other.
 
 All random draws come from one seeded ``zerodim.Draws``, in the order b,
 lambda, xi, mu, and are recorded in the result's provenance.  Its ``retry``
@@ -124,11 +124,14 @@ class ProjectionResult:
 def lift_precision(system, t: int) -> int:
     """Degree bound MV(S, Delta^(t)) for the coefficient fractions.
 
-    This is the degree of the toric variety over the free variables, so
-    numerators and denominators of the resolution coefficients stay below
-    it and a series precision of twice the bound suffices to reconstruct.
-    The lift uses twice the bound as its cap: it stops earlier when a
-    reconstruction at a lower precision passes the exact certificate.
+    This is the degree of the toric variety over the free variables.  The
+    numerators and denominators of the coefficients of q stay below it, so
+    a series precision of twice the bound suffices to reconstruct q.  That
+    does not hold for the parametrizations v_j, whose denominators carry the
+    discriminant of q: their degrees can exceed the bound, and then no
+    candidate at the cap certifies.  The lift uses twice the bound as its
+    cap: it stops earlier when a reconstruction at a lower precision passes
+    the exact certificate.
     """
     n = system[0].nvars
     members = [Support(n, p.support()) for p in system] + [Support.simplex(n)] * t
@@ -203,14 +206,14 @@ def _lift_and_reconstruct(system, base, xi, t: int, lam,
 
     The lift runs to the cap 2 * ``degree_bound`` (at least 1) and yields
     after each doubling; each yield is reconstructed at degree bound
-    min(floor(prec / 2), ``degree_bound``) and certified.  A candidate
-    refused below the cap lifts further; one refused at the cap raises.
+    floor(prec / 2), which is ``degree_bound`` at the cap, and certified.  A
+    candidate refused below the cap lifts further; one refused at the cap
+    raises.
     """
     cap = max(2 * degree_bound, 1)
     for lifted in newton_hensel_lift(system, base, xi, cap):
         try:
-            return _certified(lifted, system, t, min(lifted.precision // 2, degree_bound),
-                              lam)
+            return _certified(lifted, system, t, lifted.precision // 2, lam)
         except (NoValidApproximant, NonGenericInput):
             if lifted.precision == cap:
                 raise

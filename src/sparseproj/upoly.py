@@ -4,8 +4,9 @@ Coefficients are stored lowest degree first in a trimmed tuple; the zero
 polynomial is the empty tuple.  The domain is duck-typed: Rat, RatFun and
 TruncSeries all work, as do plain ints (which the domains absorb on contact).
 ``divrem`` divides by the leading coefficient, so over the truncated-series
-ring it raises whenever that coefficient is not a unit -- exactly the
-genericity failures the drivers catch and retry.
+ring it raises whenever that coefficient is not a unit.  The lift never
+divides by a series: it reduces only modulo a monic q (``upoly_mod``) and
+refines det(J)^(-1) by Newton steps.
 
 Over Q (every coefficient an int or a Rat) products and divisions go to the
 integer kernels ``kernels.dense_mul`` and ``kernels.dense_divrem``, which

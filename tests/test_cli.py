@@ -159,6 +159,18 @@ def test_usage_and_parse_errors(files, capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lambda", "X1=1", "--lambda: X1 is not a dependent variable (dependents: X3 X5)"),
+    ("--mu", "X5=1", "--mu: X5 is not a projected dependent variable (projected: X3)"),
+    ("--b", "", "--b must assign exactly the specialized variables: X4"),
+    ("--xi", "X1=2", "--xi must assign exactly the free variables: X1 X2"),
+], ids=["lambda", "mu", "b", "xi"])
+def test_pin_outside_its_variables_is_a_usage_error(files, capsys, flag, value, message):
+    capsys.readouterr()
+    assert main(["project", files["sys5"], flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve0d_reads_the_file_seed(files, capsys):
     seeded = files["tmp"] / "fiber3_seed7.txt"
     seeded.write_text(FIBER_3VAR.replace("l=1\n", "l=1\nseed 7\n", 1))

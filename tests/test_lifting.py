@@ -129,3 +129,37 @@ def test_one_composition_over_fractions_and_series():
     for k in range(over_q.degree() + 1):
         c = over_q[k]
         assert over_series[k] == expand_fraction(lift.ring, c.num, c.den)
+
+
+# -- the checks inside the lift -------------------------------------------------------
+
+
+def _without_corrections(monkeypatch):
+    import sparseproj.lifting as lifting
+
+    monkeypatch.setattr(lifting, "_solve_jacobian",
+                        lambda jmat, gvec, q, d_inv, cut, ring:
+                        ([UniPoly.zero()] * len(gvec), d_inv))
+
+
+def test_final_residual_is_asserted(monkeypatch):
+    _without_corrections(monkeypatch)
+    base = solve_toric_0d(threevar_fiber(), (0, 1))
+    with pytest.raises(LiftingError, match="final residual"):
+        list(newton_hensel_lift(threevar_system(), base, (1,), 1))
+
+
+def test_residual_from_previous_step_is_asserted(monkeypatch):
+    _without_corrections(monkeypatch)
+    base = solve_toric_0d(threevar_fiber(), (0, 1))
+    with pytest.raises(LiftingError, match="residual from previous step"):
+        list(newton_hensel_lift(threevar_system(), base, (1,), 3))
+
+
+def test_separating_form_consistency_is_asserted():
+    # the fiber residual does not involve lambda, so only the consistency
+    # check sees that sum lambda_j v_j = Y no longer holds
+    base = solve_toric_0d(threevar_fiber(), (0, 1))
+    wrong = GeometricResolution((), base.dep_vars, (1, 0), base.q, base.params)
+    with pytest.raises(LiftingError, match="separating-form consistency lost"):
+        list(newton_hensel_lift(threevar_system(), wrong, (1,), 1))

@@ -186,6 +186,82 @@ def test_hull_vertices_against_monotone_chain(rng):
             assert vertices == sorted(_hull2d(pts))
 
 
+def test_hull_in_one_dimension():
+    assert hull_volume_and_corners([(3,), (1,), (7,), (5,)]) == (6, [(1,), (7,)])
+    assert hull_volume_and_corners([(4,), (4,), (4,)]) == (0, [(4,)])
+
+
+# -- the one elimination against a Fraction oracle -------------------------------------
+
+
+def _fraction_eliminate(rows, rhs=None):
+    """Gaussian elimination over Q: (rank, signed det, solution or None)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if rhs is not None:
+        for r, b in zip(m, rhs):
+            r.append(Fraction(b))
+    cols = len(rows[0]) if rows else 0
+    det, rank = Fraction(1), 0
+    for col in range(cols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det *= m[rank][col]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    solution = None
+    if rhs is not None and det:
+        solution = [m[i][-1] / m[i][i] for i in range(len(m))]
+    return rank, det, solution
+
+
+def _random_matrix(rng, rows, cols, rank):
+    """A rows x cols integer matrix of rank at most ``rank``, as a product."""
+    left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(row[k] * right[k][j] for k in range(rank)) for j in range(cols)]
+            for row in left]
+
+
+def test_int_solve_against_fraction_elimination(rng):
+    seen = {"singular": 0, "negative": 0, "positive": 0}
+    for trial in range(300):
+        n = trial % 6
+        if n and trial // 6 % 3 == 0:
+            rows = _random_matrix(rng, n, n, rng.randint(0, n - 1))
+        else:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rhs = [rng.randint(-9, 9) for _ in range(n)]
+        _, det, x = _fraction_eliminate(rows, rhs)
+        got_det, y = polytope._int_solve(rows, rhs)
+        assert got_det == det
+        if not det:
+            assert y is None
+            seen["singular"] += 1
+            continue
+        assert y == [det * v for v in x]
+        assert [sum(a * b for a, b in zip(r, y)) for r in rows] == [det * b for b in rhs]
+        seen["negative" if det < 0 else "positive"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+def test_int_rank_against_fraction_elimination(rng):
+    for trial in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 5)
+        m = _random_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        m.insert(rng.randint(0, len(m)), [0] * cols)
+        m.insert(rng.randint(0, len(m)), list(rng.choice(m)))
+        assert polytope._int_rank(m) == _fraction_eliminate(m)[0]
+    assert polytope._int_rank([]) == 0
+
+
 # -- grouped inclusion-exclusion against the plain subset sum ------------------------
 
 

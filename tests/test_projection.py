@@ -154,6 +154,24 @@ def test_t_zero_projection_of_points():
     assert result.provenance["projected_degree"] == 2
 
 
+def test_changed_projection_fails_verification(monkeypatch):
+    # the projection of V = {(1,2), (-1,-2)} to X1 with X1's parametrization
+    # shifted by 1: the driver's own verification must refuse it
+    system = [SparsePoly(2, {(2, 0): 1, (0, 0): -1}),
+              SparsePoly(2, {(0, 1): 1, (1, 0): -2})]
+    real = projection.geom_res_proj
+
+    def shifted(res, projected_vars, mu):
+        proj = real(res, projected_vars, mu)
+        params = dict(proj.params)
+        params[0] = params[0] + UniPoly([rat(1)])
+        return GeometricResolution(proj.free_vars, proj.dep_vars, proj.lam, proj.q, params)
+
+    monkeypatch.setattr(projection, "geom_res_proj", shifted)
+    with pytest.raises(NonGenericInput, match="verification failed"):
+        q_projection(ProjectionProblem(system, 1, seed=3, mu=(1,)))
+
+
 def test_dense_image_marker():
     system = [SparsePoly(2, {(0, 1): 1, (2, 0): -1})]  # X2 - X1^2
     result = q_projection(ProjectionProblem(system, 1, seed=5))
@@ -482,33 +500,51 @@ def test_three_equations_in_four_variables(monkeypatch, name):
 # -- the exact fallback of the squarefree entry -------------------------------------
 
 
-@pytest.mark.parametrize("squarefree", [True, False])
-def test_squarefree_entry_exact_fallback(monkeypatch, squarefree):
+@pytest.mark.parametrize("squarefree,fractions",
+                         [(True, False), (False, False), (True, True), (False, True)],
+                         ids=["True", "False", "True-fractions", "False-fractions"])
+def test_squarefree_entry_exact_fallback(monkeypatch, squarefree, fractions):
     # q = Y^2 - (X1-2)(X1-3)(X1-5) is squarefree, but its discriminant
     # vanishes at all three trial points X1 = 2, 3, 5; q = (Y - X1)^2 is
     # not squarefree anywhere.  Both leave the decision to the exact gcd.
+    # With fractions, q = Y^2 - (X1-2)(X1-3)(X1-5)/(X1+1) and
+    # q = (Y - X1/(X1+1))^2, each with a plain rational 1 as its leading
+    # coefficient, so the gcd first clears the denominator X1 + 1.
     x1 = F1({(1,): 1})
     one = RatFun.from_const(1, 1)
+    den = x1 + one if fractions else one
+    cubic = (x1 - 2 * one) * (x1 - 3 * one) * (x1 - 5 * one)
     if squarefree:
-        q = UniPoly([-(x1 - 2 * one) * (x1 - 3 * one) * (x1 - 5 * one),
-                     RatFun.from_const(1, 0), one])
+        q = UniPoly([-cubic / den, RatFun.from_const(1, 0), one])
+        # (X1 + 1)^k X2^2 - (X1-2)(X1-3)(X1-5), k = 1 with fractions
         system = [SparsePoly(2, {(0, 2): 1, (3, 0): -1, (2, 0): 10, (1, 0): -31,
-                                 (0, 0): 30})]
+                                 (0, 0): 30} | ({(1, 2): 1} if fractions else {}))]
     else:
-        q = UniPoly([x1 * x1, -2 * x1, one])
-        system = [SparsePoly(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})]
+        root = x1 / den
+        q = UniPoly([root * root, -2 * root, one])
+        # (X1 + 1)^k X2 - X1, squared
+        system = [SparsePoly(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1}
+                             | ({(2, 2): 1, (1, 2): 2, (2, 1): -2} if fractions else {}))]
+    if fractions:
+        q = UniPoly(q.coeffs[:2] + (rat(1),))
     res = GeometricResolution((0,), (1,), (1,), q,
                               {1: UniPoly([RatFun.from_const(1, 0), one])})
-    gcds = []
-    real_gcd = projection.mpoly_gcd
+    gcds, lcms = [], []
+    real_gcd, real_lcm = projection.mpoly_gcd, projection.mpoly_lcm
 
     def recording_gcd(a, b):
         gcds.append(a.nvars)
         return real_gcd(a, b)
 
+    def recording_lcm(a, b):
+        lcms.append(a.nvars)
+        return real_lcm(a, b)
+
     monkeypatch.setattr(projection, "mpoly_gcd", recording_gcd)
+    monkeypatch.setattr(projection, "mpoly_lcm", recording_lcm)
     entries = dict(verify_resolution(res, system).entries)
     assert gcds == [2]
+    assert bool(lcms) is fractions
     assert entries["q squarefree"] is squarefree
     # the membership identity holds either way: only the squarefree entry decides
     assert entries["membership f1"]
@@ -521,12 +557,17 @@ def test_tooling_names_stay_in_place():
     import sparseproj.kernels as kernels
     import sparseproj.lifting as lifting
     import sparseproj.mpoly as mpoly
+    import sparseproj.polytope as polytope
     import sparseproj.ratfun as ratfun
     import sparseproj.series as series
     import sparseproj.upoly as upoly
 
     for name in ("audit_parametric", "geom_res_proj", "verify_resolution"):
         assert callable(getattr(projection, name))
+    # polytope.mixed_volume is timed and polytope.hull_volume_and_corners
+    # counted (polytope.hull_calls, polytope.hull_points)
+    for name in ("mixed_volume", "hull_volume_and_corners"):
+        assert callable(getattr(polytope, name))
     # the span pade.pade wraps the function the module holds, so the package
     # must not shadow the module with it, and projection must call it by name
     assert isinstance(sparseproj.pade, types.ModuleType)

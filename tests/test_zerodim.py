@@ -88,6 +88,16 @@ def test_audit_rejects_one_changed_coefficient():
         audit_0d(GeometricResolution((), res.dep_vars, res.lam, bad_q, res.params), system)
 
 
+def test_audit_rejects_a_coordinate_vanishing_on_a_root():
+    # f = X1^2 - X1 with q = Y^2 - Y and X1 = Y: both identities hold, but
+    # the root Y = 0 puts X1 = 0 off the torus
+    system = [SparsePoly(1, {(2,): 1, (1,): -1})]
+    res = GeometricResolution((), (0,), (1,), UniPoly([rat(0), rat(-1), rat(1)]),
+                              {0: UniPoly([rat(0), rat(1)])})
+    with pytest.raises(NonGenericInput, match="coordinate 0 vanishes on a root"):
+        audit_0d(res, system)
+
+
 def test_lambda_not_separating_detected_and_policy():
     # x^2 = 1, y^2 = 1: lambda = x takes only two values on four points
     sysm = [SparsePoly(2, {(2, 0): 1, (0, 0): -1}),
