@@ -11,9 +11,12 @@ Rat coefficients directly.  ``dense_mul`` and ``dense_divrem`` are the same
 idea for dense polynomials in one variable over Q, the product and the
 division with remainder of ``upoly`` that every audit of a fiber runs mod q:
 the first convolves integer numerators, the second is a fraction-free
-(pseudo-)division, and both normalise each output coefficient once.  A
-compiled build of these loops was at most a few percent faster end to end,
-so there is none.
+(pseudo-)division, and both normalise each output coefficient once.
+``series_mulmod`` joins the two ideas for the lift: a*b mod a monic q for
+polynomials in Y whose coefficients are truncated series, one integer
+convolution in Y and Z together followed by the fraction-free reduction,
+with one normalisation per output coefficient.  A compiled build of these
+loops was at most a few percent faster end to end, so there is none.
 """
 
 from __future__ import annotations
@@ -109,8 +112,8 @@ def series_mul(ac: list, bc: list, kappa: int) -> list:
         return out
     nvars = len(next(e for comp in ac for e in comp))
     base = kappa + 1
-    a, da = _over_common_denominator(ac, base)
-    b, db = _over_common_denominator(bc, base)
+    (a,), da = _over_common_denominator([ac], base)
+    (b,), db = _over_common_denominator([bc], base)
     acc: dict = {}
     get = acc.get
     for i, ai in a:
@@ -132,22 +135,120 @@ def series_mul(ac: list, bc: list, kappa: int) -> list:
     return out
 
 
-def _over_common_denominator(comps: list, base: int):
-    """The nonzero components as ``(degree, [(packed exponent, numerator)])``,
-    every numerator over the lcm of the denominators, and that lcm."""
-    den = lcm(*[c.denominator for comp in comps for c in comp.values()])
+def _over_common_denominator(operands: list, base: int):
+    """Each series of ``operands`` (a list of component lists) as its nonzero
+    components ``(degree, [(packed exponent, numerator)])``, every numerator
+    over the lcm of all the operands' denominators, and that lcm."""
+    den = lcm(*[c.denominator for comps in operands for comp in comps
+                for c in comp.values()])
     out = []
-    for d, comp in enumerate(comps):
-        if not comp:
-            continue
-        terms = []
-        for e, c in comp.items():
-            k = 0
-            for x in reversed(e):
-                k = k * base + x
-            terms.append((k, c.numerator * (den // c.denominator)))
-        out.append((d, terms))
+    for comps in operands:
+        series = []
+        for d, comp in enumerate(comps):
+            if not comp:
+                continue
+            terms = []
+            for e, c in comp.items():
+                k = 0
+                for x in reversed(e):
+                    k = k * base + x
+                terms.append((k, c.numerator * (den // c.denominator)))
+            series.append((d, terms))
+        out.append(series)
     return out, den
+
+
+def series_mulmod(ac: list, bc: list, qc: list, kappa: int) -> list:
+    """a*b mod q for polynomials in Y whose coefficients are truncated series.
+
+    ``ac``, ``bc`` and ``qc`` list the Y-coefficients (lowest degree first),
+    each a list of homogeneous-component dicts of Rat coefficients as in
+    ``series_mul``; q is monic, else ValueError.  Returns the remainder's
+    coefficients, at most deg q of them, each a list of kappa+1 dicts.
+
+    Each polynomial is written as integer rows over one common denominator.
+    A row keys a term by its packed exponent plus degree*(kappa+1)^nvars, so
+    a sum of keys is the key of the product term and a key below
+    (kappa+1)^(nvars+1) is a term of degree at most kappa.  The product is
+    one convolution in Y and Z together that drops every higher term.  With
+    q written as Q/d_q, whose leading row is the constant d_q, the reduction
+    is ``dense_divrem``'s fraction-free division: the step that clears the
+    row ``top`` of Y^(k+n) sets A <- d_q*A - top*Y^k*Q and den <- den*d_q,
+    and the factor d_q reaches a row below the window only when the window
+    first covers it.  Each remaining coefficient is normalised once, as
+    ``rat(N, den)``.
+    """
+    n = len(qc) - 1
+    lead = qc[-1][: kappa + 1]
+    if (len(lead[0]) != 1 or next(iter(lead[0].values())) != 1
+            or any(lead[1:])):
+        raise ValueError("modulus must be monic")
+    if not ac or not bc or not n:
+        return []
+    nvars = len(next(iter(lead[0])))
+    base = kappa + 1
+    shift = base ** nvars
+    limit = base * shift
+
+    def rows(operands):
+        grouped, den = _over_common_denominator(
+            [comps[: kappa + 1] for comps in operands], base)
+        return [sorted((d * shift + k, x) for d, terms in series for k, x in terms)
+                for series in grouped], den
+
+    (a, da), (b, db), (q, dq) = rows(ac), rows(bc), rows(qc)
+    prod = [{} for _ in range(len(a) + len(b) - 1)]
+    for i, ra in enumerate(a):
+        if ra:
+            for j, rb in enumerate(b):
+                if rb:
+                    _convolve_into(prod[i + j], ra, rb, limit)
+    den = da * db
+    scale = 1  # dq to the number of steps so far
+    for k in range(len(prod) - 1 - n, -1, -1):
+        row = prod[k]
+        if scale != 1:
+            for key in row:
+                row[key] *= scale
+        top = sorted((key, -x) for key, x in prod[k + n].items() if x)
+        if not top:
+            continue
+        for i in range(n):
+            row = prod[k + i]
+            if dq != 1:
+                for key in row:
+                    row[key] *= dq
+            if q[i]:
+                _convolve_into(row, top, q[i], limit)
+        den *= dq
+        scale *= dq
+
+    out = []
+    for row in prod[:n]:
+        comps = [{} for _ in range(base)]
+        for key, x in row.items():
+            if x:
+                d, key = divmod(key, shift)
+                e = []
+                for _ in range(nvars):
+                    key, y = divmod(key, base)
+                    e.append(y)
+                comps[d][tuple(e)] = rat(x, den)
+        out.append(comps)
+    return out
+
+
+def _convolve_into(acc: dict, xs: list, ys: list, limit: int) -> None:
+    """``acc += xs * ys`` over the keys below ``limit``; xs and ys are
+    ``(key, int)`` lists in increasing key order."""
+    get = acc.get
+    for kx, nx in xs:
+        room = limit - kx
+        for ky, ny in ys:
+            if ky >= room:
+                break
+            k = kx + ky
+            acc[k] = get(k, 0) + nx * ny
 
 
 def _integer_vector(coeffs) -> tuple[list, int]:

@@ -23,8 +23,11 @@ parametrization vanishes modulo q through the trusted degree) and, through
 each doubling, at precisions 1, 3, 7, ... capped at kappa, and asserts the
 residual of the last one before yielding it.  The projection driver
 certifies a reconstruction after every yield and stops at the first
-certified one.  Reductions modulo the monic q go through ``upoly_mod``,
-which never divides by a leading coefficient of 1.
+certified one.  Every product modulo the monic q -- the determinant's
+cofactors, the Newton step on its inverse, the adjugate and the two
+derivative * rho updates -- is one ``upoly_mulmod``, which the integer kernel
+``kernels.series_mulmod`` computes with one normalisation per coefficient of
+the remainder.
 
 J c = G is solved by the adjugate of J, from cofactors, times d = det(J)^(-1)
 mod q.  The lift computes d once, at the fiber, by ``upoly_ext_inv`` over Q
@@ -46,7 +49,7 @@ import functools
 from .mpoly import SparsePoly
 from .rat import rat
 from .series import SeriesRing, TruncSeries
-from .upoly import UniPoly, upoly_ext_inv, upoly_is_squarefree, upoly_mod
+from .upoly import UniPoly, upoly_ext_inv, upoly_is_squarefree, upoly_mod, upoly_mulmod
 from .zerodim import Composition, linear_form
 
 
@@ -112,7 +115,7 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
         acc = UniPoly.zero()
         for j in range(len(rows)):
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = upoly_mod(rows[0][j] * det(minor), qc)
+            term = upoly_mulmod(rows[0][j], det(minor), qc)
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
 
@@ -128,7 +131,7 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
             raise SingularJacobian("singular Jacobian at the expansion point") from exc
     else:
         d_inv = _reringed(d_inv, small)
-        d_inv = upoly_mod(d_inv * (UniPoly.const(2) - upoly_mod(dj * d_inv, qc)), qc)
+        d_inv = upoly_mulmod(d_inv, UniPoly.const(2) - upoly_mulmod(dj, d_inv, qc), qc)
     d_full = _reringed(d_inv, ring)
 
     # adjugate: adj[i][j] = (-1)^{i+j} * minor_{j,i}
@@ -138,9 +141,9 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
         for j in range(m):
             minor = [row[:i] + row[i + 1:] for k, row in enumerate(jc) if k != j]
             cof = _reringed(det(minor), ring) if m > 1 else UniPoly.const(1)
-            term = upoly_mod(cof * gvec[j], q)
+            term = upoly_mulmod(cof, gvec[j], q)
             acc = acc + term if (i + j) % 2 == 0 else acc - term
-        out.append(upoly_mod(acc * d_full, q))
+        out.append(upoly_mulmod(acc, d_full, q))
     return out, d_inv
 
 
@@ -189,8 +192,8 @@ def newton_hensel_lift(system, base, xi, kappa: int):
         new_w = {}
         for j in range(m):
             u = w[t + j] - cvec[j]
-            new_w[t + j] = u + upoly_mod(u.derivative() * rho, q)
-        q = q + upoly_mod(q.derivative() * rho, q)
+            new_w[t + j] = u + upoly_mulmod(u.derivative(), rho, q)
+        q = q + upoly_mulmod(q.derivative(), rho, q)
         if not q.is_monic():
             raise LiftingError("lifted minimal polynomial lost monicity")
         w = new_w

@@ -31,8 +31,10 @@ One fraction-free elimination and one echelon serve all of this.
 ``_int_solve`` is the Bareiss routine (Bareiss, Math. Comp. 1968): forward
 elimination that tracks the sign of its row swaps, then back substitution,
 giving the exact signed determinant and det times the solution.  With a zero
-right-hand side it gives the hull's facet normals and simplex volumes; with
-the heights on the right it gives a candidate cell's inner normal.
+right-hand side it gives the hull's simplex volumes; with one column of a
+facet's difference matrix on the right, the facet's normal as the null
+vector of that matrix; with the heights on the right, a candidate cell's
+inner normal.
 ``_echelon_reduce`` keeps primitive rows with distinct pivots: the cell
 search extends it one edge at a time, and ``_int_rank`` counts the rows it
 keeps, for the hull's seed and vertex tests and for ``supports``.
@@ -189,18 +191,23 @@ def _int_rank(rows) -> int:
 
 
 def _facet_normal(pts):
-    """Integer normal of the hyperplane through d points of R^d (generalized
-    cross product of the difference vectors); zero vector iff degenerate."""
+    """Integer normal of the hyperplane through d points of R^d; zero vector
+    iff degenerate.
+
+    The normal is the null vector of the (d-1) x d difference matrix: with
+    column i moved to the right-hand side, one ``_int_solve`` of the
+    remaining square minor gives it as y with det(minor) at position i,
+    which is the generalized cross product up to sign.  The last column is
+    tried first; a singular minor moves on to the next one.
+    """
     base = pts[0]
     rows = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
     d = len(base)
-    normal = []
-    sign = 1
-    for i in range(d):
-        minor = [r[:i] + r[i + 1:] for r in rows]
-        normal.append(sign * _int_solve(minor, [0] * (d - 1))[0])
-        sign = -sign
-    return tuple(normal)
+    for i in range(d - 1, -1, -1):
+        det, y = _int_solve([r[:i] + r[i + 1:] for r in rows], [-r[i] for r in rows])
+        if det:
+            return tuple(y[:i]) + (det,) + tuple(y[i:])
+    return (0,) * d
 
 
 # -- beneath-beyond hull --------------------------------------------------------

@@ -36,7 +36,7 @@ from .rat import rat
 from .ratfun import RatFun
 from .series import TruncSeries
 from .supports import VarOrder, project_supports, trans_basis
-from .upoly import UniPoly, upoly_is_squarefree, upoly_mod
+from .upoly import UniPoly, upoly_is_squarefree, upoly_mod, upoly_mulmod
 from .zerodim import (
     DEFAULT_BOUND,
     DEFAULT_RETRIES,
@@ -310,7 +310,7 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu) -> GeometricReso
     power = UniPoly.const(one)
     relation = krylov.add(vec(power))
     while relation is None:
-        power = upoly_mod(power * p_mu, q)
+        power = upoly_mulmod(power, p_mu, q)
         relation = krylov.add(vec(power))
     q_mu = UniPoly([-c for c in relation] + [one])
 
@@ -328,7 +328,7 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu) -> GeometricReso
 def _eval_at_upoly(p: UniPoly, x: UniPoly, q: UniPoly) -> UniPoly:
     acc = UniPoly.zero()
     for c in reversed(p.coeffs):
-        acc = upoly_mod(acc * x, q) + UniPoly.const(c)
+        acc = upoly_mulmod(acc, x, q) + UniPoly.const(c)
     return upoly_mod(acc, q)
 
 

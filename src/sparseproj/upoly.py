@@ -5,20 +5,25 @@ polynomial is the empty tuple.  The domain is duck-typed: Rat, RatFun and
 TruncSeries all work, as do plain ints (which the domains absorb on contact).
 ``divrem`` divides by the leading coefficient, so over the truncated-series
 ring it raises whenever that coefficient is not a unit.  The lift never
-divides by a series: it reduces only modulo a monic q (``upoly_mod``) and
-refines det(J)^(-1) by Newton steps.
+divides by a series: it reduces only modulo a monic q and refines
+det(J)^(-1) by Newton steps.
 
 Over Q (every coefficient an int or a Rat) products and divisions go to the
 integer kernels ``kernels.dense_mul`` and ``kernels.dense_divrem``, which
 return the same canonical rationals with one gcd per output coefficient.
-Every other domain keeps the coefficient loops here.
+``upoly_mulmod`` is every product mod q of the pipeline: when a, b and q
+have truncated series of one ring as coefficients it goes to
+``kernels.series_mulmod``, which reduces the integer product and normalises
+only the remainder; otherwise it is ``upoly_mod(a * b, q)``.  Every other
+domain keeps the coefficient loops here.
 """
 
 from __future__ import annotations
 
-from .kernels import dense_divrem, dense_mul
+from .kernels import dense_divrem, dense_mul, series_mulmod
 from .mpoly import SparsePoly, mpoly_gcd
 from .rat import RAT_ONE, Rat
+from .series import TruncSeries
 
 
 def _over_q(coeffs) -> bool:
@@ -168,6 +173,22 @@ def upoly_divrem(a: UniPoly, b: UniPoly):
 
 def upoly_mod(a: UniPoly, b: UniPoly) -> UniPoly:
     return upoly_divrem(a, b)[1]
+
+
+def upoly_mulmod(a: UniPoly, b: UniPoly, q: UniPoly) -> UniPoly:
+    """a*b mod q.
+
+    When every coefficient of a, b and q is a TruncSeries of one ring, q
+    must be monic and the kernel ``series_mulmod`` computes the product and
+    its remainder on integers; every other domain runs ``upoly_mod(a * b, q)``.
+    """
+    ring = q.coeffs[-1].ring if q.coeffs and type(q.coeffs[-1]) is TruncSeries else None
+    if ring is None or not all(type(c) is TruncSeries and c.ring == ring
+                               for p in (a, b, q) for c in p.coeffs):
+        return upoly_mod(a * b, q)
+    rem = series_mulmod([c.comps for c in a.coeffs], [c.comps for c in b.coeffs],
+                        [c.comps for c in q.coeffs], ring.prec)
+    return UniPoly([TruncSeries(ring, comps, _clean=True) for comps in rem])
 
 
 def upoly_ext_inv(a: UniPoly, q: UniPoly) -> UniPoly:

@@ -31,7 +31,7 @@ from .linalg import KrylovEchelon
 from .mpoly import SparsePoly
 from .rat import RAT_ONE, RAT_ZERO, rat
 from .ratfun import RatFun
-from .upoly import UniPoly, upoly_coprime, upoly_is_squarefree, upoly_mod
+from .upoly import UniPoly, upoly_coprime, upoly_is_squarefree, upoly_mod, upoly_mulmod
 
 
 class LambdaNotSeparating(ArithmeticError):
@@ -236,7 +236,7 @@ class Composition:
         got = self._powers.get((v, k))
         if got is None:
             got = (self.params[v] if k == 1
-                   else upoly_mod(self._power(v, k - 1) * self.params[v], self.q))
+                   else upoly_mulmod(self._power(v, k - 1), self.params[v], self.q))
             self._powers[(v, k)] = got
         return got
 
@@ -247,7 +247,7 @@ class Composition:
             for j, k in enumerate(pattern):
                 if k:
                     p = self._power(self.t + j, k)
-                    got = p if got is None else upoly_mod(got * p, self.q)
+                    got = p if got is None else upoly_mulmod(got, p, self.q)
             self._products[pattern] = got
         return self._products[pattern]
 

@@ -191,6 +191,54 @@ def test_hull_in_one_dimension():
     assert hull_volume_and_corners([(4,), (4,), (4,)]) == (0, [(4,)])
 
 
+# -- facet normals against the generalized cross product ----------------------------
+
+
+def _cross_product(pts):
+    """Signed maximal minors of the difference vectors, by Leibniz's formula."""
+    from itertools import permutations
+
+    rows = [[x - b for x, b in zip(p, pts[0])] for p in pts[1:]]
+    d = len(pts[0])
+
+    def det(m):
+        total = 0
+        for perm in permutations(range(len(m))):
+            inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                             for j in range(i + 1, len(perm)))
+            total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(len(m)))
+        return total
+
+    return tuple((-1) ** i * det([r[:i] + r[i + 1:] for r in rows]) for i in range(d))
+
+
+def test_facet_normal_is_parallel_to_the_cross_product(rng):
+    kinds = {"generic": 0, "last minor singular": 0, "degenerate": 0}
+    for trial in range(400):
+        d = 2 + trial % 4
+        pts = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d)]
+        if trial % 5 == 1:
+            # every difference vector starts with 0, so the minor without the
+            # last column is singular
+            pts = [(pts[0][0],) + p[1:] for p in pts]
+        elif trial % 5 == 2:
+            # a repeated point: rank below d - 1
+            pts[-1] = pts[0]
+        normal = polytope._facet_normal(pts)
+        cross = _cross_product(pts)
+        # parallel and of the same size: normal = +-cross
+        assert normal in (cross, tuple(-x for x in cross))
+        for p in pts[1:]:
+            assert sum(a * (x - y) for a, x, y in zip(normal, p, pts[0])) == 0
+        if not any(cross):
+            kinds["degenerate"] += 1
+        elif cross[-1] == 0:
+            kinds["last minor singular"] += 1
+        else:
+            kinds["generic"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
 # -- the one elimination against a Fraction oracle -------------------------------------
 
 

@@ -460,10 +460,37 @@ THREE_EQUATIONS = {
 def test_three_equations_in_four_variables(monkeypatch, name):
     # r = 3 and t = 1, so every lift solves a 3 x 3 Jacobian by cofactors,
     # and inverts its determinant over Q once, at the fiber
+    _check_lift_of_equations(monkeypatch, THREE_EQUATIONS[name])
+
+
+FOUR_EQUATIONS = {
+    "deg_q_2_first": [{(1, 1, 0, 1, 1): 4, (1, 1, 1, 0, 0): 1, (0, 0, 1, 0, 1): -6},
+                      {(0, 1, 1, 0, 1): 5, (1, 0, 1, 1, 1): -8, (0, 0, 1, 0, 1): 2},
+                      {(0, 1, 0, 0, 0): -2, (0, 1, 0, 0, 1): 8, (1, 0, 1, 1, 0): 9},
+                      {(1, 0, 1, 1, 0): 4, (1, 0, 1, 0, 0): -4, (0, 1, 1, 0, 0): -5}],
+    "deg_q_2_second": [{(1, 1, 1, 0, 0): -9, (1, 1, 0, 1, 0): 4, (0, 1, 1, 0, 0): -2},
+                       {(0, 0, 0, 0, 1): -6, (1, 0, 0, 1, 0): -1, (0, 1, 1, 1, 0): -3},
+                       {(0, 1, 0, 1, 1): -5, (0, 0, 1, 0, 0): -5, (0, 0, 1, 0, 1): -7},
+                       {(1, 0, 0, 0, 0): -8, (0, 1, 0, 1, 0): -6, (1, 0, 0, 0, 1): 8}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_EQUATIONS))
+def test_four_equations_in_five_variables(monkeypatch, name):
+    # r = 4 and t = 1: the cofactor expansion recurses through 3 x 3 minors
+    _check_lift_of_equations(monkeypatch, FOUR_EQUATIONS[name])
+
+
+def _check_lift_of_equations(monkeypatch, terms_list):
+    """q_projection of r equations in r + 1 variables, seed 1, l = 2, with
+    t = 1 and deg q = 2: every lift solves an r x r Jacobian and inverts
+    its determinant over Q once; the result passes verify_resolution and
+    agrees with an independent fiber solve at z = 3/7."""
     import sparseproj.lifting as lifting
 
-    system = [SparsePoly(4, {e: rat(c) for e, c in terms.items()})
-              for terms in THREE_EQUATIONS[name]]
+    r = len(terms_list)
+    n = r + 1
+    system = [SparsePoly(n, {e: rat(c) for e, c in terms.items()}) for terms in terms_list]
     lifts, inverses = [], []
     real_lift, real_inv = projection.newton_hensel_lift, lifting.upoly_ext_inv
 
@@ -478,23 +505,51 @@ def test_three_equations_in_four_variables(monkeypatch, name):
     monkeypatch.setattr(projection, "newton_hensel_lift", recording_lift)
     monkeypatch.setattr(lifting, "upoly_ext_inv", recording_inv)
     result = q_projection(ProjectionProblem(system, 2, seed=1))
-    assert lifts and set(lifts) == {3}
+    assert lifts and set(lifts) == {r}
     assert inverses == [True] * len(lifts)
 
     t = result.order.t
-    frame = list(result.order.to_original[:4])
+    frame = list(result.order.to_original[:n])
     parametric = result.parametric
-    assert (t, parametric.dep_vars) == (1, (1, 2, 3))
+    dep = tuple(range(1, n))
+    assert (t, parametric.dep_vars, parametric.q.degree()) == (1, dep, 2)
     assert verify_resolution(parametric, [g.reindex(frame) for g in system]).passed
     assert verify_resolution(result.resolution, (parametric, (1,), result.mu)).passed
     # the point test against an independent fiber solve with the same lambda
     z = (rat(3, 7),)
-    fiber = [g.reindex(frame).eval_partial({0: z[0]}).reindex([1, 2, 3]) for g in system]
+    fiber = [g.reindex(frame).eval_partial({0: z[0]}).reindex(list(dep)) for g in system]
     at_z = solve_toric_0d(fiber, parametric.lam)
     assert parametric.q.map_coeffs(lambda c: c.evaluate(z)) == at_z.q
-    for j in range(3):
+    for j in range(r):
         assert parametric.params[1 + j].map_coeffs(lambda c: c.evaluate(z)) == \
             at_z.params[j]
+
+
+# -- ROADMAP item 1 with three equations: the cap bounds q, not the v_j -------------
+#
+# f1 = 3 X1X3 + 9 X1X2X3X4 - 4, f2 = -8 X1 + 2 X2 + 2 X4,
+# f3 = -5 X1X2X4 + 7 X1X2X3 - X3.  At the MV cap the reconstructed q is
+# right but the v_j need more precision; twice the cap certifies.
+
+ITEM_1_SYSTEM = [{(1, 0, 1, 0): 3, (1, 1, 1, 1): 9, (0, 0, 0, 0): -4},
+                 {(1, 0, 0, 0): -8, (0, 1, 0, 0): 2, (0, 0, 0, 1): 2},
+                 {(1, 1, 0, 1): -5, (1, 1, 1, 0): 7, (0, 0, 1, 0): -1}]
+
+
+def _item_1_system():
+    return [SparsePoly(4, {e: rat(c) for e, c in terms.items()}) for terms in ITEM_1_SYSTEM]
+
+
+def test_item_1_three_equations_certify_with_a_larger_cap():
+    system = _item_1_system()
+    res = parametric_toric_geomres(system, 1, (1, 2, 3), xi=(2,), degree_bound=16)
+    assert res.dep_vars == (1, 2, 3) and res.q.degree() >= 1
+    assert verify_resolution(res, system).passed
+
+
+@pytest.mark.xfail(strict=True, raises=GenericityFailure, reason="ROADMAP item 1")
+def test_item_1_three_equations_at_the_mv_cap():
+    q_projection(ProjectionProblem(_item_1_system(), 2, seed=2))
 
 
 # -- the exact fallback of the squarefree entry -------------------------------------
@@ -585,11 +640,14 @@ def test_tooling_names_stay_in_place():
     # the univariate kernels over Q, called by upoly through the same objects
     assert upoly.dense_mul is kernels.dense_mul
     assert upoly.dense_divrem is kernels.dense_divrem
+    # the product mod q over truncated series, called by upoly.upoly_mulmod
+    assert upoly.series_mulmod is kernels.series_mulmod
     # and no other kernel
     assert {name for name, f in vars(kernels).items()
             if callable(f) and getattr(f, "__module__", None) == kernels.__name__
             and not name.startswith("_")} == {"poly_mul", "poly_addmul", "series_mul",
-                                              "dense_mul", "dense_divrem"}
+                                              "dense_mul", "dense_divrem",
+                                              "series_mulmod"}
     assert ratfun.mpoly_gcd is mpoly.mpoly_gcd
     assert upoly.mpoly_gcd is mpoly.mpoly_gcd
     assert projection.mpoly_gcd is mpoly.mpoly_gcd

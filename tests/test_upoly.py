@@ -1,19 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseproj.kernels import dense_divrem, dense_mul
+from sparseproj.kernels import dense_divrem, dense_mul, series_mulmod
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
 from sparseproj.ratfun import RatFun
+from sparseproj.series import SeriesRing, TruncSeries
 from sparseproj.upoly import (
     UniPoly,
     _over_q,
     upoly_coprime,
     upoly_divrem,
     upoly_ext_inv,
+    upoly_mod,
+    upoly_mulmod,
 )
 
 
@@ -210,3 +214,109 @@ def test_coefficient_check_stops_at_the_first_other_domain():
 
     assert not _over_q(coeffs())
     assert _over_q([1, Fraction(1, 2), 0]) and not _over_q([1, 0.5])
+
+
+# -- products mod q over truncated series: the kernel against the loop -------------
+#
+# ``upoly_mulmod`` sends series operands of one ring to ``kernels.series_mulmod``;
+# the reference is ``upoly_mod(a * b, q)``, the coefficient loops of ``UniPoly``
+# and ``upoly_divrem`` over TruncSeries.
+
+
+def _random_series(rng, ring, den_bits):
+    """About a third of the components empty, the rest with 1-3 terms whose
+    denominators have up to ``den_bits`` bits."""
+    t = ring.nvars
+    comps = [{} for _ in range(ring.prec + 1)]
+    for d in range(ring.prec + 1):
+        if rng.random() < 0.3:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            cuts = sorted(rng.randint(0, d) for _ in range(t - 1))
+            e = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, d]))
+            comps[d][e] = rat(rng.choice((-1, 1)) * rng.randint(1, 9),
+                              rng.randint(1, 2 ** den_bits))
+    return TruncSeries(ring, comps, _clean=True)
+
+
+def _random_upoly(rng, ring, degree, den_bits):
+    """Degree ``degree``, about a fifth of the lower coefficients zero."""
+    coeffs = [ring.zero() if k < degree and rng.random() < 0.2
+              else _random_series(rng, ring, den_bits) for k in range(degree + 1)]
+    while not coeffs[-1]:
+        coeffs[-1] = _random_series(rng, ring, den_bits)
+    return UniPoly(coeffs)
+
+
+def _monic(rng, ring, degree, den_bits):
+    return UniPoly([_random_series(rng, ring, den_bits) for _ in range(degree)]
+                   + [ring.constant(1)])
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_series_mulmod_matches_the_loop(t):
+    rng = random.Random(23 + t)
+    for kappa in range(10):
+        ring = SeriesRing(tuple(range(t)), (rat(1, 2),) * t, kappa)
+        for n in range(1, 6):
+            den_bits = rng.choice((1, 8, 100))
+            q = _monic(rng, ring, n, den_bits)
+            # from below deg q to past it, so that both operands may exceed deg q
+            a = _random_upoly(rng, ring, rng.randint(0, n + 2), den_bits)
+            b = _random_upoly(rng, ring, rng.randint(n, n + 2), den_bits)
+            got = upoly_mulmod(a, b, q)
+            assert got == upoly_mod(a * b, q)
+            assert got.degree() < n
+            assert all(type(c) is TruncSeries and c.ring is ring for c in got.coeffs)
+            assert all(x for c in got.coeffs for comp in c.comps for x in comp.values())
+            # a multiple of q leaves nothing
+            assert upoly_mulmod(a, b * q, q).is_zero()
+
+
+def test_series_mulmod_edge_cases():
+    ring = SeriesRing((0,), (0,), 4)
+    z = ring.from_shifted_poly
+    rng = random.Random(5)
+    q = _monic(rng, ring, 2, 100)
+    # Z^2 * Z^3 is cut off at degree 4: a product that cancels by truncation
+    a = UniPoly([z(SparsePoly(1, {(2,): 1}))])
+    b = UniPoly([ring.zero(), z(SparsePoly(1, {(3,): rat(1, 7)}))])
+    assert upoly_mulmod(a, b, q).is_zero() and upoly_mod(a * b, q).is_zero()
+    # zero operands; q = 1 leaves no remainder
+    assert upoly_mulmod(UniPoly.zero(), b, q).is_zero()
+    assert upoly_mulmod(a, UniPoly.zero(), q).is_zero()
+    assert upoly_mulmod(q, q, UniPoly([ring.constant(1)])).is_zero()
+    # a product of degree below deg q is not reduced
+    c = UniPoly([_random_series(rng, ring, 100)])
+    assert upoly_mulmod(c, c, q) == c * c
+    # a non-monic q raises, in the kernel and through the entry point
+    for lead in (ring.constant(2), ring.constant(1) + z(SparsePoly(1, {(1,): 1}))):
+        bad = UniPoly([ring.constant(1), lead])
+        with pytest.raises(ValueError):
+            upoly_mulmod(a, b, bad)
+        with pytest.raises(ValueError):
+            series_mulmod([a.coeffs[0].comps], [b.coeffs[1].comps],
+                          [c.comps for c in bad.coeffs], ring.prec)
+
+
+def test_other_domains_keep_the_loop(monkeypatch):
+    # Q and RatFun operands, series of two rings and series beside plain ints
+    # run upoly_mod(a * b, q), not the kernel
+    import sparseproj.upoly as upoly
+
+    def refuse(*args):
+        raise AssertionError("series kernel called outside one series ring")
+
+    monkeypatch.setattr(upoly, "series_mulmod", refuse)
+    a, q = U(1, 2, 3), U((1, 3), 0, 1)
+    assert upoly_mulmod(a, a, q) == upoly_mod(a * a, q)
+    x1 = RatFun.from_poly(SparsePoly(1, {(1,): 1}))
+    one = RatFun.from_const(1, 1)
+    fa, fq = UniPoly([x1, one]), UniPoly([x1 * x1, x1, one])
+    assert upoly_mulmod(fa, fa, fq) == upoly_mod(fa * fa, fq)
+    r3, r4 = SeriesRing((0,), (0,), 3), SeriesRing((0,), (0,), 4)
+    sq = UniPoly([r3.constant(2), r3.constant(1)])
+    with pytest.raises(ValueError, match="series ring mismatch"):
+        upoly_mulmod(UniPoly([r4.constant(3)]), sq, sq)
+    mixed = UniPoly([1, r3.constant(5)])
+    assert upoly_mulmod(mixed, mixed, sq) == upoly_mod(mixed * mixed, sq)
