@@ -366,8 +366,13 @@ def parse_resolution(text: str) -> ParsedResolution:
             var = int(fields[0]) - 1 if len(fields) == 2 else None
             terms = upolys.setdefault((key, var), {})
             if fields[-1] != "zero":
-                terms[int(fields[-1])] = expr.strip()
+                degree = int(fields[-1])
+                if degree < 0:
+                    raise ParseError(f"negative degree in resolution line {line!r}")
+                terms[degree] = expr.strip()
         elif key == "provenance":
+            if not rest:
+                raise ParseError(f"malformed resolution line {line!r}")
             pkey = rest.split(None, 1)[0]
             pval = rest.split(None, 1)[1] if " " in rest else ""
             out.provenance[pkey] = pval

@@ -3,20 +3,21 @@
 Exponent vectors are plain int tuples.  ``poly_mul`` and ``poly_addmul``
 take any exact scalar supporting ``+``, ``*`` and truthiness (Rat, and in a
 few call sites whole coefficient objects); they carry the sparse products of
-``mpoly`` and the reductions of ``groebner``.  ``series_mul`` is the product
-of truncated series, the lift's and the Pade residual's hot loop: it takes
-Rat coefficients only, clears denominators once per operand and convolves
-Python ints, with ``SMALL_PRODUCT`` as the size below which it multiplies the
-Rat coefficients directly.  ``dense_mul`` and ``dense_divrem`` are the same
-idea for dense polynomials in one variable over Q, the product and the
-division with remainder of ``upoly`` that every audit of a fiber runs mod q:
-the first convolves integer numerators, the second is a fraction-free
-(pseudo-)division, and both normalise each output coefficient once.
-``series_mulmod`` joins the two ideas for the lift: a*b mod a monic q for
-polynomials in Y whose coefficients are truncated series, one integer
-convolution in Y and Z together followed by the fraction-free reduction,
-with one normalisation per output coefficient.  A compiled build of these
-loops was at most a few percent faster end to end, so there is none.
+``mpoly`` and the reductions of ``groebner``.  ``dense_mul`` and
+``dense_divrem`` are the product and the division with remainder of
+``upoly`` for dense polynomials in one variable over Q, which every audit of
+a fiber runs mod q: the first convolves integer numerators, the second is a
+fraction-free (pseudo-)division, and both normalise each output coefficient
+once.  The truncated-series products join the two ideas on one integer row
+form (``_rows``), which keys each term by its degree and packed exponent:
+``series_mul`` is the product of two series, for the lift's compositions,
+inverses and the Pade residual, and ``series_mulmod`` is a*b mod a monic q
+for polynomials in Y whose coefficients are series, the lift's hot loop.
+Both are one integer convolution in Y and the series variables that drops
+the terms above the truncation order; ``series_mulmod`` follows it with the
+fraction-free reduction, and each output coefficient is normalised once.
+A compiled build of these loops was at most a few percent faster end to
+end, so there is none.
 """
 
 from __future__ import annotations
@@ -66,96 +67,22 @@ def poly_addmul(acc: dict, coeff, b: dict) -> None:
                 del acc[e]
 
 
-# Products of at most this many term pairs multiply the Rat coefficients
-# directly: below it, clearing denominators costs more than the gcds it saves.
-SMALL_PRODUCT = 4
-
-
 def series_mul(ac: list, bc: list, kappa: int) -> list:
     """Convolution of homogeneous-component lists, truncated at degree kappa.
 
     ``ac``/``bc`` are lists of exponent dicts of Rat coefficients (index =
     homogeneous degree).  Returns a list of kappa+1 dicts with no zero entry.
-
-    Each operand is written over one common denominator, the lcm of its
-    coefficients' denominators, and its exponents are packed into ints in
-    base kappa+1: no coordinate of a term of degree <= kappa exceeds kappa,
-    so packed sums never carry.  The integer numerators are convolved and
-    every output coefficient is normalised once, as ``rat(N, da*db)``.
+    It is ``series_mulmod``'s product for polynomials of degree 0 in Y: one
+    integer convolution of the two operands' rows (see ``_rows``), and one
+    normalisation per output coefficient, as ``rat(N, da*db)``.
     """
-    out = [{} for _ in range(kappa + 1)]
-    ac, bc = ac[: kappa + 1], bc[: kappa + 1]
-    pairs = sum(map(len, ac)) * sum(map(len, bc))
-    if not pairs:
-        return out
-    if pairs <= SMALL_PRODUCT:
-        for i, ai in enumerate(ac):
-            if not ai:
-                continue
-            for j, bj in enumerate(bc[: kappa + 1 - i]):
-                if not bj:
-                    continue
-                tgt = out[i + j]
-                get = tgt.get
-                for ea, ca in ai.items():
-                    for eb, cb in bj.items():
-                        e = tuple(map(sum, zip(ea, eb)))
-                        c = get(e)
-                        if c is None:
-                            tgt[e] = ca * cb
-                        else:
-                            c = c + ca * cb
-                            if c:
-                                tgt[e] = c
-                            else:
-                                del tgt[e]
-        return out
+    ((a,), da), ((b,), db) = _rows([[ac], [bc]], kappa)
+    if not a or not b:
+        return [{} for _ in range(kappa + 1)]
     nvars = len(next(e for comp in ac for e in comp))
-    base = kappa + 1
-    (a,), da = _over_common_denominator([ac], base)
-    (b,), db = _over_common_denominator([bc], base)
-    acc: dict = {}
-    get = acc.get
-    for i, ai in a:
-        for j, bj in b:
-            if i + j > kappa:
-                break
-            for ka, na in ai:
-                for kb, nb in bj:
-                    k = ka + kb
-                    acc[k] = get(k, 0) + na * nb
-    den = da * db
-    for k, n in acc.items():
-        if n:
-            e = []
-            for _ in range(nvars):
-                k, x = divmod(k, base)
-                e.append(x)
-            out[sum(e)][tuple(e)] = rat(n, den)
-    return out
-
-
-def _over_common_denominator(operands: list, base: int):
-    """Each series of ``operands`` (a list of component lists) as its nonzero
-    components ``(degree, [(packed exponent, numerator)])``, every numerator
-    over the lcm of all the operands' denominators, and that lcm."""
-    den = lcm(*[c.denominator for comps in operands for comp in comps
-                for c in comp.values()])
-    out = []
-    for comps in operands:
-        series = []
-        for d, comp in enumerate(comps):
-            if not comp:
-                continue
-            terms = []
-            for e, c in comp.items():
-                k = 0
-                for x in reversed(e):
-                    k = k * base + x
-                terms.append((k, c.numerator * (den // c.denominator)))
-            series.append((d, terms))
-        out.append(series)
-    return out, den
+    prod: dict = {}
+    _convolve_into(prod, a, b, (kappa + 1) ** (nvars + 1))
+    return _components(prod, da * db, kappa, nvars)
 
 
 def series_mulmod(ac: list, bc: list, qc: list, kappa: int) -> list:
@@ -166,13 +93,10 @@ def series_mulmod(ac: list, bc: list, qc: list, kappa: int) -> list:
     ``series_mul``; q is monic, else ValueError.  Returns the remainder's
     coefficients, at most deg q of them, each a list of kappa+1 dicts.
 
-    Each polynomial is written as integer rows over one common denominator.
-    A row keys a term by its packed exponent plus degree*(kappa+1)^nvars, so
-    a sum of keys is the key of the product term and a key below
-    (kappa+1)^(nvars+1) is a term of degree at most kappa.  The product is
-    one convolution in Y and Z together that drops every higher term.  With
-    q written as Q/d_q, whose leading row is the constant d_q, the reduction
-    is ``dense_divrem``'s fraction-free division: the step that clears the
+    The product is one convolution of the operands' rows in Y and Z
+    together, which drops every term of degree above kappa.  With q written
+    as Q/d_q, whose leading row is the constant d_q, the reduction is
+    ``dense_divrem``'s fraction-free division: the step that clears the
     row ``top`` of Y^(k+n) sets A <- d_q*A - top*Y^k*Q and den <- den*d_q,
     and the factor d_q reaches a row below the window only when the window
     first covers it.  Each remaining coefficient is normalised once, as
@@ -186,17 +110,8 @@ def series_mulmod(ac: list, bc: list, qc: list, kappa: int) -> list:
     if not ac or not bc or not n:
         return []
     nvars = len(next(iter(lead[0])))
-    base = kappa + 1
-    shift = base ** nvars
-    limit = base * shift
-
-    def rows(operands):
-        grouped, den = _over_common_denominator(
-            [comps[: kappa + 1] for comps in operands], base)
-        return [sorted((d * shift + k, x) for d, terms in series for k, x in terms)
-                for series in grouped], den
-
-    (a, da), (b, db), (q, dq) = rows(ac), rows(bc), rows(qc)
+    limit = (kappa + 1) ** (nvars + 1)
+    (a, da), (b, db), (q, dq) = _rows([ac, bc, qc], kappa)
     prod = [{} for _ in range(len(a) + len(b) - 1)]
     for i, ra in enumerate(a):
         if ra:
@@ -222,20 +137,55 @@ def series_mulmod(ac: list, bc: list, qc: list, kappa: int) -> list:
                 _convolve_into(row, top, q[i], limit)
         den *= dq
         scale *= dq
+    return [_components(row, den, kappa, nvars) for row in prod[:n]]
 
+
+def _rows(operands: list, kappa: int) -> list:
+    """``(rows, den)`` for each polynomial in Y of ``operands``, each given
+    as the component lists of its Y-coefficients.
+
+    ``den`` is the lcm of the polynomial's coefficient denominators below
+    degree kappa+1, and the row of a Y-coefficient is its ``(key,
+    numerator)`` pairs in increasing key order.  The key of a term of degree
+    d and exponent e is d*(kappa+1)^t + e_1 + e_2*(kappa+1) + ... +
+    e_t*(kappa+1)^(t-1).  No coordinate of a term of degree <= kappa exceeds
+    kappa, so the sum of two keys is the key of the product term, and a key
+    below (kappa+1)^(t+1) is a term of degree at most kappa.
+    """
+    base = kappa + 1
     out = []
-    for row in prod[:n]:
-        comps = [{} for _ in range(base)]
-        for key, x in row.items():
-            if x:
-                d, key = divmod(key, shift)
-                e = []
-                for _ in range(nvars):
-                    key, y = divmod(key, base)
-                    e.append(y)
-                comps[d][tuple(e)] = rat(x, den)
-        out.append(comps)
+    for coeffs in operands:
+        coeffs = [comps[:base] for comps in coeffs]
+        den = lcm(*[c.denominator for comps in coeffs for comp in comps
+                    for c in comp.values()])
+        rows = []
+        for comps in coeffs:
+            row = []
+            for d, comp in enumerate(comps):
+                for e, c in comp.items():
+                    k = d
+                    for x in reversed(e):
+                        k = k * base + x
+                    row.append((k, c.numerator * (den // c.denominator)))
+            row.sort()
+            rows.append(row)
+        out.append((rows, den))
     return out
+
+
+def _components(row: dict, den: int, kappa: int, nvars: int) -> list:
+    """A row, its numerators over ``den``, back as kappa+1 components with
+    no zero entry."""
+    base = kappa + 1
+    comps = [{} for _ in range(base)]
+    for key, x in row.items():
+        if x:
+            e = []
+            for _ in range(nvars):
+                key, y = divmod(key, base)
+                e.append(y)
+            comps[key][tuple(e)] = rat(x, den)
+    return comps
 
 
 def _convolve_into(acc: dict, xs: list, ys: list, limit: int) -> None:

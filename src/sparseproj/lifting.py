@@ -110,6 +110,8 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
     qc = _reringed(q, small)
 
     def det(rows):
+        if not rows:
+            return UniPoly([small.constant(1)])
         if len(rows) == 1:
             return rows[0][0]
         acc = UniPoly.zero()
@@ -140,7 +142,7 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
         acc = UniPoly.zero()
         for j in range(m):
             minor = [row[:i] + row[i + 1:] for k, row in enumerate(jc) if k != j]
-            cof = _reringed(det(minor), ring) if m > 1 else UniPoly.const(1)
+            cof = _reringed(det(minor), ring)
             term = upoly_mulmod(cof, gvec[j], q)
             acc = acc + term if (i + j) % 2 == 0 else acc - term
         out.append(upoly_mulmod(acc, d_full, q))

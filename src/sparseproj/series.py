@@ -5,9 +5,13 @@ point xi, and the truncation order kappa; it stores one sparse exponent dict
 per homogeneous degree 0..kappa in the shifted variables Z_i = X_i - xi_i.
 Zero components are empty dicts, so the convolution kernels skip them -- the
 Newton lifting relies on this: a series known to agree with a polynomial (or
-to vanish below some degree) costs only its true support.  A polynomial in
-the X variables enters by one Taylor shift, ``SparsePoly.translate(xi)``,
-which writes it in the Z variables.
+to vanish below some degree) costs only its true support.  A product is
+``kernels.series_mul``: each operand's terms as integer numerators over its
+one denominator, one integer convolution that drops the terms above kappa,
+and one normalisation per output coefficient; ``kernels.series_mulmod``
+multiplies polynomials in Y over series on the same integer rows.  A
+polynomial in the X variables enters by one Taylor shift,
+``SparsePoly.translate(xi)``, which writes it in the Z variables.
 
 Inversion requires a unit (nonzero constant term) and runs the usual
 quadratic Newton iteration; a non-unit raises NonUnitSeries.  The pipeline

@@ -40,6 +40,21 @@ def expand_fraction(ring, num, den):
     return ring.expand_poly(num) / ring.expand_poly(den)
 
 
+def packing_edge_series(nvars, kappa, sign=1):
+    """Components 0..kappa+1 of a series: the constant, then in every degree d
+    each pure power Z_i^d and, for nvars > 1, Z_1^(d-1)*Z_nvars.  In degree
+    kappa a coordinate equals kappa, the largest digit of the series kernels'
+    packed exponents, and products of two such series cross degree kappa."""
+    comps = [{(0,) * nvars: rat(sign, 2)}]
+    for d in range(1, kappa + 2):
+        comp = {tuple(d if j == i else 0 for j in range(nvars)): rat(sign * (i + 1), d + 2)
+                for i in range(nvars)}
+        if nvars > 1:
+            comp[(d - 1,) + (0,) * (nvars - 2) + (1,)] = rat(-sign, d + 3)
+        comps.append(comp)
+    return comps
+
+
 def threevar_system():
     """The worked three-variable system with X1 as parameter."""
     g1 = SparsePoly(3, {(0, 0, 0): 2, (1, 1, 0): 3, (0, 1, 1): -1})

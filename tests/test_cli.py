@@ -279,6 +279,25 @@ def test_verify_names_a_missing_line(fivevar_resolution, tmp_path, capsys, key):
     assert "all identities pass" not in captured.out
 
 
+@pytest.mark.parametrize("good,bad,message", [
+    ("provenance seed 0\n", "provenance\n", "malformed"),
+    ("v 3 1 : 1\n", "v 3 -1 : 1\n", "negative degree"),
+    ("parent_w 3 0 :", "parent_w 3 -1 :", "negative degree"),
+], ids=["bare_provenance", "negative_sole_degree", "negative_degree"])
+def test_verify_rejects_a_malformed_line(fivevar_resolution, tmp_path, capsys,
+                                          good, bad, message):
+    # a negative degree beside other terms would index the top coefficient
+    sys_path, text = fivevar_resolution
+    assert good in text
+    bad_path = tmp_path / "malformed.txt"
+    bad_path.write_text(text.replace(good, bad))
+    capsys.readouterr()
+    assert main(["verify", sys_path, str(bad_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "all identities pass" not in captured.out
+
+
 CLI = "import sys; from sparseproj.cli import main; sys.exit(main(sys.argv[1:]))"
 
 

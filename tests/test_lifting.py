@@ -64,6 +64,38 @@ def test_exact_polynomial_parametrization():
     assert not any(_series_coeffs(const)[3:])
 
 
+def test_one_equation_lift_stays_in_the_kernel(monkeypatch):
+    # X2^2 - X1 - 3 at xi = 1: q = Y^2 - (4 + Z) and X2 = Y at every precision,
+    # and every product mod q of the lift, the adjugate's included, runs on
+    # integers over the series
+    import sparseproj.lifting as lifting
+    import sparseproj.upoly as upoly
+    import sparseproj.zerodim as zerodim
+
+    calls = {"mulmod": 0, "kernel": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    for module in (lifting, zerodim):
+        monkeypatch.setattr(module, "upoly_mulmod", counting("mulmod", module.upoly_mulmod))
+    monkeypatch.setattr(upoly, "series_mulmod", counting("kernel", upoly.series_mulmod))
+    system = [SparsePoly(2, {(0, 2): 1, (1, 0): -1, (0, 0): -3})]
+    base = GeometricResolution((), (0,), (1,), UniPoly([rat(-4), rat(0), rat(1)]),
+                               {0: UniPoly([rat(0), rat(1)])})
+    lifts = list(newton_hensel_lift(system, base, (1,), 15))
+    assert [lift.precision for lift in lifts] == [1, 3, 7, 15]
+    for lift in lifts:
+        q0 = _series_coeffs(lift.q[0])
+        assert lift.q.degree() == 2 and lift.q[2] == 1 and not lift.q[1]
+        assert q0[:2] == [rat(-4), rat(-1)] and not any(q0[2:])
+        assert lift.params[1] == UniPoly([lift.ring.zero(), lift.ring.constant(1)])
+    assert calls["mulmod"] > 0 and calls["kernel"] == calls["mulmod"]
+
+
 def _truncated(p, ring):
     return p.map_coeffs(lambda c: c.truncated(ring.prec, ring))
 

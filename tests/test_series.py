@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expand_fraction
-from sparseproj.kernels import SMALL_PRODUCT, series_mul
+from conftest import expand_fraction, packing_edge_series
+from sparseproj.kernels import series_mul
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
 from sparseproj.series import NonUnitSeries, SeriesRing, TruncSeries
@@ -128,11 +128,6 @@ def _operand(rng, nvars, length, den):
             _homogeneous(rng, nvars, d, rng.randint(1, 3), den) for d in range(length)]
 
 
-def _pairs(ac, bc, kappa):
-    return (sum(len(c) for c in ac[: kappa + 1]) *
-            sum(len(c) for c in bc[: kappa + 1]))
-
-
 def _small_denominator(rng):
     return rng.randint(1, 5)
 
@@ -145,7 +140,6 @@ def _large_denominator(rng):
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 def test_series_mul_matches_the_plain_convolution(nvars):
     rng = random.Random(nvars)
-    sides = set()
     for trial in range(80):
         kappa = rng.randint(0, 6)
         den = (_small_denominator, _large_denominator)[trial % 2]
@@ -158,9 +152,14 @@ def test_series_mul_matches_the_plain_convolution(nvars):
         assert got == _plain_series_mul(a, b, kappa)
         assert len(got) == kappa + 1
         assert all(c for comp in got for c in comp.values())
-        pairs = _pairs(a, b, kappa)
-        sides.add(0 if not pairs else 1 if pairs <= SMALL_PRODUCT else 2)
-    assert sides == {0, 1, 2}
+    # the packing bound: Z_1^kappa reaches the output, and no product of
+    # degree above kappa carries into the next variable's digit or the degree
+    for kappa in range(1, 5):
+        a = packing_edge_series(nvars, kappa)
+        b = packing_edge_series(nvars, kappa, sign=-1)
+        got = series_mul(a, b, kappa)
+        assert got == _plain_series_mul(a, b, kappa)
+        assert (kappa,) + (0,) * (nvars - 1) in got[kappa]
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3])
@@ -178,7 +177,6 @@ def test_series_mul_stores_no_cancelled_term(nvars, size):
         q = _homogeneous(rng, nvars, 3, 3, _large_denominator)
     plus = [*p, {}, q]
     minus = [*p, {}, {e: -c for e, c in q.items()}]
-    assert (_pairs(plus, minus, kappa) <= SMALL_PRODUCT) == (size == "small")
     got = series_mul(plus, minus, kappa)
     assert got[3] == got[4] == {}
     assert all(c for comp in got for c in comp.values())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import packing_edge_series
 from sparseproj.kernels import dense_divrem, dense_mul, series_mulmod
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
@@ -253,10 +254,11 @@ def _monic(rng, ring, degree, den_bits):
                    + [ring.constant(1)])
 
 
-@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("t", [1, 2, 3])
 def test_series_mulmod_matches_the_loop(t):
     rng = random.Random(23 + t)
-    for kappa in range(10):
+    # three variables cost the loop about three times as much per precision
+    for kappa in range(10 if t < 3 else 4):
         ring = SeriesRing(tuple(range(t)), (rat(1, 2),) * t, kappa)
         for n in range(1, 6):
             den_bits = rng.choice((1, 8, 100))
@@ -271,6 +273,16 @@ def test_series_mulmod_matches_the_loop(t):
             assert all(x for c in got.coeffs for comp in c.comps for x in comp.values())
             # a multiple of q leaves nothing
             assert upoly_mulmod(a, b * q, q).is_zero()
+    # the packing bound: coefficients with a coordinate equal to kappa, whose
+    # products cross degree kappa in the convolution and in the reduction
+    for kappa in range(1, 5):
+        ring = SeriesRing(tuple(range(t)), (rat(1, 2),) * t, kappa)
+        plus, minus = (TruncSeries(ring, packing_edge_series(t, kappa, sign))
+                       for sign in (1, -1))
+        q = UniPoly([plus, minus, ring.constant(1)])
+        a = UniPoly([minus, plus, plus])
+        b = UniPoly([plus, ring.zero(), minus, plus])
+        assert upoly_mulmod(a, b, q) == upoly_mod(a * b, q)
 
 
 def test_series_mulmod_edge_cases():
