@@ -268,17 +268,18 @@ def cmd_verify(args) -> int:
         print("dense image marker: nothing to audit")
         return 0
     prov = parsed.provenance
+    t = parsed.t
+    r = len(parsed.parent_dependent)
     try:
         b = tuple(int(x) for x in prov.get("b", "").split())
         order_orig = tuple(int(x) - 1 for x in prov["order"].split())
+        spec_vars = order_orig[t + r:]
+        if len(b) != len(spec_vars):
+            raise ValueError("b needs one entry per specialized variable")
     except (KeyError, ValueError):
         print("resolution file lacks the provenance needed for the audit",
               file=sys.stderr)
         return 2
-    t = parsed.t
-    r = len(parsed.parent_dependent)
-    n = problem.n
-    spec_vars = order_orig[t + r:]
     bindings = {v: val for v, val in zip(spec_vars, b)}
     frame_positions = list(order_orig[: t + r])
     specialized = [g.eval_partial(bindings).reindex(frame_positions)

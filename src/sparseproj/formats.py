@@ -345,6 +345,8 @@ def parse_resolution(text: str) -> ParsedResolution:
             continue
         parts = line.split(None, 1)
         key, rest = parts[0], parts[1] if len(parts) > 1 else ""
+        if key in seen and key not in ("q", "v", "parent_q", "parent_w", "provenance"):
+            raise ParseError(f"repeated {key!r} line")
         seen.add(key)
         if key == "n":
             out.n = int(rest)
@@ -364,18 +366,23 @@ def parse_resolution(text: str) -> ParsedResolution:
             if len(fields) != (2 if key in ("v", "parent_w") else 1):
                 raise ParseError(f"malformed resolution line {line!r}")
             var = int(fields[0]) - 1 if len(fields) == 2 else None
+            degree = None if fields[-1] == "zero" else int(fields[-1])
+            if degree is not None and degree < 0:
+                raise ParseError(f"negative degree in resolution line {line!r}")
             terms = upolys.setdefault((key, var), {})
-            if fields[-1] != "zero":
-                degree = int(fields[-1])
-                if degree < 0:
-                    raise ParseError(f"negative degree in resolution line {line!r}")
+            if terms is None or (terms and degree is None) or degree in terms:
+                raise ParseError(f"repeated term in resolution line {line!r}")
+            if degree is None:
+                upolys[(key, var)] = None   # a "zero" line stands alone
+            else:
                 terms[degree] = expr.strip()
         elif key == "provenance":
             if not rest:
                 raise ParseError(f"malformed resolution line {line!r}")
             pkey = rest.split(None, 1)[0]
-            pval = rest.split(None, 1)[1] if " " in rest else ""
-            out.provenance[pkey] = pval
+            if pkey in out.provenance:
+                raise ParseError(f"repeated provenance {pkey!r} line")
+            out.provenance[pkey] = rest.split(None, 1)[1] if " " in rest else ""
         else:
             raise ParseError(f"unknown resolution line {key!r}")
     required = ["n", "l", "free"]
@@ -386,11 +393,15 @@ def parse_resolution(text: str) -> ParsedResolution:
             raise ParseError(f"missing {key!r} line")
     if out.dense_image:
         return out
-    for vars_key, form_key, _, _ in _BLOCKS:
+    for vars_key, form_key, _, v_key in _BLOCKS:
         variables, form = getattr(out, vars_key), getattr(out, form_key)
         if len(form) != len(variables):
             raise ParseError(f"{form_key} has {len(form)} entries for "
                              f"{len(variables)} {vars_key} variables")
+        for key, var in upolys:
+            if key == v_key and var not in variables:
+                raise ParseError(f"{v_key} line for X{var + 1}, which is not "
+                                 f"among the {vars_key} variables")
 
     labels = tuple(f"X{v + 1}" for v in out.free)
     t = out.t

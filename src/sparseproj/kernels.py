@@ -3,18 +3,17 @@
 Exponent vectors are plain int tuples.  ``poly_mul`` and ``poly_addmul``
 take any exact scalar supporting ``+``, ``*`` and truthiness (Rat, and in a
 few call sites whole coefficient objects); they carry the sparse products of
-``mpoly`` and the reductions of ``groebner``.  ``dense_mul`` and
-``dense_divrem`` are the product and the division with remainder of
-``upoly`` for dense polynomials in one variable over Q, which every audit of
-a fiber runs mod q: the first convolves integer numerators, the second is a
-fraction-free (pseudo-)division, and both normalise each output coefficient
-once.  The truncated-series products join the two ideas on one integer row
-form (``_rows``), which keys each term by its degree and packed exponent:
-``series_mul`` is the product of two series, for the lift's compositions,
-inverses and the Pade residual, and ``series_mulmod`` is a*b mod a monic q
-for polynomials in Y whose coefficients are series, the lift's hot loop.
-Both are one integer convolution in Y and the series variables that drops
-the terms above the truncation order; ``series_mulmod`` follows it with the
+``mpoly`` and the reductions of ``groebner``.  ``dense_divrem`` is the
+division with remainder of ``upoly`` over Q, by any divisor: a fraction-free
+(pseudo-)division that normalises each output coefficient once.  The
+truncated-series products share one integer row form (``_rows``), which
+keys each term by its degree and packed exponent: ``series_mul`` is the
+product of two series, for the lift's compositions, inverses and the Pade
+residual, and ``series_mulmod`` is a*b mod a monic q for polynomials in Y
+whose coefficients are series, the lift's hot loop, or rationals, those of
+the fiber audits: Q is the series ring in no variables at order 0.  Both
+are one integer convolution in Y and the series variables that drops the
+terms above the truncation order; ``series_mulmod`` follows it with the
 fraction-free reduction, and each output coefficient is normalised once.
 A compiled build of these loops was at most a few percent faster end to
 end, so there is none.
@@ -206,24 +205,6 @@ def _integer_vector(coeffs) -> tuple[list, int]:
     denominator, and that denominator."""
     den = lcm(*[c.denominator for c in coeffs])
     return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def dense_mul(ac, bc) -> list:
-    """Product of dense coefficient sequences (lowest degree first) over Q.
-
-    Entries are ints or Rats.  Each operand is written over one common
-    denominator, the integer numerators are convolved, and every output
-    coefficient is normalised once, as ``rat(N, da*db)``.
-    """
-    a, da = _integer_vector(ac)
-    b, db = _integer_vector(bc)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    den = da * db
-    return [rat(n, den) for n in out]
 
 
 def dense_divrem(ac, bc) -> tuple[list, list]:

@@ -8,21 +8,19 @@ ring it raises whenever that coefficient is not a unit.  The lift never
 divides by a series: it reduces only modulo a monic q and refines
 det(J)^(-1) by Newton steps.
 
-Over Q (every coefficient an int or a Rat) products and divisions go to the
-integer kernels ``kernels.dense_mul`` and ``kernels.dense_divrem``, which
-return the same canonical rationals with one gcd per output coefficient.
-``upoly_mulmod`` is every product mod q of the pipeline: when a, b and q
-have truncated series of one ring as coefficients it goes to
-``kernels.series_mulmod``, which reduces the integer product and normalises
-only the remainder; otherwise it is ``upoly_mod(a * b, q)``.  Every other
-domain keeps the coefficient loops here.
+Over Q (every coefficient an int or a Rat) divisions go to the integer
+kernel ``kernels.dense_divrem``, with one gcd per output coefficient.
+``upoly_mulmod`` is every product mod q of the pipeline: over Q, the series
+ring in no variables at order 0, and over the truncated series of one ring
+it goes to ``kernels.series_mulmod``, which reduces the integer product and
+normalises only the remainder; otherwise it is ``upoly_mod(a * b, q)``.
 """
 
 from __future__ import annotations
 
-from .kernels import dense_divrem, dense_mul, series_mulmod
+from .kernels import dense_divrem, series_mulmod
 from .mpoly import SparsePoly, mpoly_gcd
-from .rat import RAT_ONE, Rat
+from .rat import RAT_ONE, RAT_ZERO, Rat
 from .series import TruncSeries
 
 
@@ -117,8 +115,6 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly(())
-        if _over_q(a) and _over_q(b):
-            return UniPoly(dense_mul(a, b))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
@@ -178,11 +174,16 @@ def upoly_mod(a: UniPoly, b: UniPoly) -> UniPoly:
 def upoly_mulmod(a: UniPoly, b: UniPoly, q: UniPoly) -> UniPoly:
     """a*b mod q.
 
-    When every coefficient of a, b and q is a TruncSeries of one ring, q
-    must be monic and the kernel ``series_mulmod`` computes the product and
-    its remainder on integers; every other domain runs ``upoly_mod(a * b, q)``.
+    Over Q and over the truncated series of one ring, q must be monic and
+    the kernel ``series_mulmod`` computes the product and its remainder on
+    integers; a rational c is the series ``[{(): c}]`` in no variables at
+    order 0.  Every other domain runs ``upoly_mod(a * b, q)``.
     """
-    ring = q.coeffs[-1].ring if q.coeffs and type(q.coeffs[-1]) is TruncSeries else None
+    if q and all(_over_q(p.coeffs) for p in (q, a, b)):
+        rem = series_mulmod(*[[[{(): c}] if c else [{}] for c in p.coeffs]
+                              for p in (a, b, q)], 0)
+        return UniPoly([comps[0].get((), RAT_ZERO) for comps in rem])
+    ring = q.coeffs[-1].ring if q and type(q.coeffs[-1]) is TruncSeries else None
     if ring is None or not all(type(c) is TruncSeries and c.ring == ring
                                for p in (a, b, q) for c in p.coeffs):
         return upoly_mod(a * b, q)

@@ -283,10 +283,22 @@ def test_verify_names_a_missing_line(fivevar_resolution, tmp_path, capsys, key):
     ("provenance seed 0\n", "provenance\n", "malformed"),
     ("v 3 1 : 1\n", "v 3 -1 : 1\n", "negative degree"),
     ("parent_w 3 0 :", "parent_w 3 -1 :", "negative degree"),
-], ids=["bare_provenance", "negative_sole_degree", "negative_degree"])
+    ("v 3 1 : 1\n", "v 3 1 : 1\nv 9 1 : 5\n", "not among the projected"),
+    ("parent_w 5 1 : 1\n", "parent_w 5 1 : 1\nparent_w 4 0 : 1\n",
+     "not among the parent_dependent"),
+    ("\nq 0 : ", "\nq 0 : 7\nq 0 : ", "repeated term"),
+    ("provenance b 1\n", "provenance b 1 7\n", "lacks the provenance"),
+    ("provenance b 1\n", "", "lacks the provenance"),
+    ("\nmu 1\n", "\nmu 2\nmu 1\n", "repeated 'mu' line"),
+    ("provenance b 1\n", "provenance b 7\nprovenance b 1\n", "repeated provenance"),
+], ids=["bare_provenance", "negative_sole_degree", "negative_degree", "stray_v",
+        "stray_parent_w", "repeated_degree", "long_b", "missing_b", "repeated_line",
+        "repeated_provenance"])
 def test_verify_rejects_a_malformed_line(fivevar_resolution, tmp_path, capsys,
                                           good, bad, message):
-    # a negative degree beside other terms would index the top coefficient
+    # a negative degree beside other terms would index the top coefficient; a
+    # v line for a variable outside its block, a repeated line and a b of the
+    # wrong length would be ignored, overridden or cut short
     sys_path, text = fivevar_resolution
     assert good in text
     bad_path = tmp_path / "malformed.txt"

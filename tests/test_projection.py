@@ -637,17 +637,16 @@ def test_tooling_names_stay_in_place():
     # the counted span kernels.poly_mul
     assert mpoly.poly_mul is kernels.poly_mul
     assert groebner.poly_addmul is kernels.poly_addmul
-    # the univariate kernels over Q, called by upoly through the same objects
-    assert upoly.dense_mul is kernels.dense_mul
+    # the univariate division over Q, called by upoly through the same object
     assert upoly.dense_divrem is kernels.dense_divrem
-    # the product mod q over truncated series, called by upoly.upoly_mulmod
+    # the product mod q over Q and over truncated series, called by
+    # upoly.upoly_mulmod
     assert upoly.series_mulmod is kernels.series_mulmod
     # and no other kernel
     assert {name for name, f in vars(kernels).items()
             if callable(f) and getattr(f, "__module__", None) == kernels.__name__
             and not name.startswith("_")} == {"poly_mul", "poly_addmul", "series_mul",
-                                              "dense_mul", "dense_divrem",
-                                              "series_mulmod"}
+                                              "dense_divrem", "series_mulmod"}
     assert ratfun.mpoly_gcd is mpoly.mpoly_gcd
     assert upoly.mpoly_gcd is mpoly.mpoly_gcd
     assert projection.mpoly_gcd is mpoly.mpoly_gcd

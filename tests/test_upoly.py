@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import packing_edge_series
-from sparseproj.kernels import dense_divrem, dense_mul, series_mulmod
+from sparseproj.kernels import dense_divrem, series_mulmod
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
 from sparseproj.ratfun import RatFun
@@ -65,10 +65,11 @@ def test_divrem_reconstruction(a, b):
 
 # -- the integer kernels against a schoolbook oracle --------------------------
 #
-# Over Q, products and divisions go to ``kernels.dense_mul`` and
-# ``kernels.dense_divrem``.  The oracle below is the plain coefficient loop,
-# generic over the domain: over Fraction it is the reference for the kernels,
-# over RatFun the reference for the loop that such coefficients keep.
+# Over Q, divisions go to ``kernels.dense_divrem`` and products mod q to
+# ``kernels.series_mulmod``.  The oracle below is the plain coefficient loop,
+# generic over the domain: over Fraction it is the reference for the kernels
+# and for ``UniPoly`` products, over RatFun the reference for the loop that
+# such coefficients keep.
 
 
 def _trim(cs):
@@ -126,8 +127,6 @@ def over_q(cs):
 @given(polys, polys)
 def test_product_matches_schoolbook(a, b):
     assert coeffs_of(UniPoly(a) * UniPoly(b)) == oracle_mul(a, b)
-    if a and b:
-        assert _trim(dense_mul(a, b)) == oracle_mul(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -180,6 +179,40 @@ def test_ext_inv_over_q(a, q):
     assert oracle_divrem(oracle_mul(over_q(a), list(inv.coeffs)), over_q(q))[1] == [1]
 
 
+monic_divisors = divisors.map(lambda b: [Fraction(c) / b[-1] for c in b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, monic_divisors, st.booleans())
+def test_mulmod_over_q_matches_schoolbook(a, b, q, int_modulus):
+    # the kernel at no variables and order 0 against the product and the
+    # division of the oracle; a q with integer coefficients may come as ints
+    if int_modulus and all(c.denominator == 1 for c in q):
+        q = [int(c) for c in q]
+    got = upoly_mulmod(UniPoly(a), UniPoly(b), UniPoly(q))
+    assert coeffs_of(got) == oracle_divrem(oracle_mul(over_q(a), over_q(b)), over_q(q))[1]
+    assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_mulmod_over_q_edge_cases():
+    q = UniPoly([Fraction(-2, 3), 0, 5, 1])
+    a = UniPoly([3, 0, Fraction(-7, 2), 2, 0, 1])     # deg a >= deg q, interior zeros
+    b = UniPoly([2 ** 200, -1, 0, 0, Fraction(1, 2 ** 150)])
+    want = oracle_divrem(oracle_mul(over_q(a.coeffs), over_q(b.coeffs)), over_q(q.coeffs))[1]
+    assert coeffs_of(upoly_mulmod(a, b, q)) == want
+    # a multiple of q reduces to zero, and so does everything modulo q = 1
+    assert upoly_mulmod(a, b * q, q).is_zero()
+    assert upoly_mulmod(a, b, UniPoly([1])).is_zero()
+    assert upoly_mulmod(a, UniPoly.zero(), q).is_zero()
+    # a product of degree below deg q is the product itself
+    c = UniPoly([Fraction(1, 3), 2])
+    assert upoly_mulmod(c, c, q) == c * c
+    # a non-monic modulus over Q raises, as over series
+    for lead in (2, Fraction(1, 2), -1):
+        with pytest.raises(ValueError):
+            upoly_mulmod(a, b, UniPoly([1, 0, lead]))
+
+
 ratfuns = st.builds(
     lambda n, d: RatFun(SparsePoly(1, {(k,): c for k, c in enumerate(n)}),
                         SparsePoly(1, {(0,): 1, (1,): d})),
@@ -190,20 +223,20 @@ ratfuns = st.builds(
 @given(st.lists(ratfuns, max_size=4).map(_trim),
        st.lists(ratfuns, min_size=1, max_size=3).map(_trim).filter(bool))
 def test_ratfun_coefficients_keep_the_loop(a, b):
-    # the integer kernels must not see RatFun coefficients; the loop gives
+    # the integer division must not see RatFun coefficients; the loop gives
     # what the schoolbook oracle gives over Q(X1)
     import sparseproj.upoly as upoly
 
     def refuse(*args):
         raise AssertionError("integer kernel called on RatFun coefficients")
 
-    saved = upoly.dense_mul, upoly.dense_divrem
-    upoly.dense_mul = upoly.dense_divrem = refuse
+    saved = upoly.dense_divrem
+    upoly.dense_divrem = refuse
     try:
         assert coeffs_of(UniPoly(a) * UniPoly(b)) == oracle_mul(a, b)
         quo, rem = upoly_divrem(UniPoly(a), UniPoly(b))
     finally:
-        upoly.dense_mul, upoly.dense_divrem = saved
+        upoly.dense_divrem = saved
     want_q, want_r = oracle_divrem(a, b)
     assert coeffs_of(quo) == want_q and coeffs_of(rem) == want_r
 
@@ -312,16 +345,21 @@ def test_series_mulmod_edge_cases():
 
 
 def test_other_domains_keep_the_loop(monkeypatch):
-    # Q and RatFun operands, series of two rings and series beside plain ints
-    # run upoly_mod(a * b, q), not the kernel
+    # Q operands go to the kernel; RatFun operands, series of two rings and
+    # series beside plain ints run upoly_mod(a * b, q), not the kernel
     import sparseproj.upoly as upoly
 
+    a, q = U(1, 2, 3), U((1, 3), 0, 1)
+    calls = []
+    monkeypatch.setattr(upoly, "series_mulmod",
+                        lambda *args: calls.append(args) or series_mulmod(*args))
+    assert upoly_mulmod(a, a, q) == upoly_mod(a * a, q)
+    assert len(calls) == 1
+
     def refuse(*args):
-        raise AssertionError("series kernel called outside one series ring")
+        raise AssertionError("series kernel called outside Q and one series ring")
 
     monkeypatch.setattr(upoly, "series_mulmod", refuse)
-    a, q = U(1, 2, 3), U((1, 3), 0, 1)
-    assert upoly_mulmod(a, a, q) == upoly_mod(a * a, q)
     x1 = RatFun.from_poly(SparsePoly(1, {(1,): 1}))
     one = RatFun.from_const(1, 1)
     fa, fq = UniPoly([x1, one]), UniPoly([x1 * x1, x1, one])

@@ -68,6 +68,31 @@ def test_membership_and_saturation_invariants():
     assert upoly_mod(lam_comb - UniPoly([rat(0), rat(1)]), res.q).is_zero()
 
 
+def test_three_variable_audit_stays_in_the_kernel(monkeypatch):
+    # every product mod q of the audit over Q runs on integers, in the same
+    # kernel as the lift's products over truncated series
+    import sparseproj.upoly as upoly
+    import sparseproj.zerodim as zerodim
+
+    calls = {"mulmod": 0, "kernel": 0}
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    system = [SparsePoly(3, {(1, 1, 0): 1, (0, 0, 1): 2, (0, 0, 0): -3}),
+              SparsePoly(3, {(0, 1, 1): 3, (1, 0, 0): -1, (0, 0, 0): 1}),
+              SparsePoly(3, {(0, 0, 2): 1, (1, 0, 1): 1, (0, 1, 0): -2})]
+    res = solve_toric_0d(system, (1, 2, 3), check=False)
+    assert res.q.degree() == 5
+    monkeypatch.setattr(zerodim, "upoly_mulmod", counting("mulmod", zerodim.upoly_mulmod))
+    monkeypatch.setattr(upoly, "series_mulmod", counting("kernel", upoly.series_mulmod))
+    audit_0d(res, system)
+    assert calls["mulmod"] > 0 and calls["kernel"] == calls["mulmod"]
+
+
 def test_audit_rejects_one_changed_coefficient():
     # a fiber of degree 11; lambda ignores X3, so a changed v_3 leaves
     # sum lambda_j v_j = Y intact and only the membership identities see it
