@@ -273,6 +273,8 @@ def cmd_verify(args) -> int:
     try:
         b = tuple(int(x) for x in prov.get("b", "").split())
         order_orig = tuple(int(x) - 1 for x in prov["order"].split())
+        if sorted(order_orig) != list(range(problem.n)):
+            raise ValueError("order must be a permutation of the variables")
         spec_vars = order_orig[t + r:]
         if len(b) != len(spec_vars):
             raise ValueError("b needs one entry per specialized variable")

@@ -2,8 +2,9 @@
 
 Exponent vectors are plain int tuples.  ``poly_mul`` and ``poly_addmul``
 take any exact scalar supporting ``+``, ``*`` and truthiness (Rat, and in a
-few call sites whole coefficient objects); they carry the sparse products of
-``mpoly`` and the reductions of ``groebner``.  ``dense_divrem`` is the
+few call sites whole coefficient objects); they carry the sparse sums and
+products of ``mpoly``.  (The reductions of ``groebner`` run on integer
+polynomials in that module.)  ``dense_divrem`` is the
 division with remainder of ``upoly`` over Q, by any divisor: a fraction-free
 (pseudo-)division that normalises each output coefficient once.  The
 truncated-series products share one integer row form (``_rows``), which

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 
-from .groebner import NotZeroDimensional, buchberger, normal_form, quotient_basis
+from .groebner import IntBasis, NotZeroDimensional, buchberger, normal_form, quotient_basis
 from .linalg import KrylovEchelon
 from .mpoly import SparsePoly
 from .rat import RAT_ONE, RAT_ZERO, rat
@@ -137,13 +137,15 @@ def solve_toric_0d(system, lam, *, check: bool = True) -> GeometricResolution:
             vec[index[e]] = c
         return vec
 
-    # Krylov vectors 1, lambda, lambda^2, ... until the first dependency
+    # Krylov vectors 1, lambda, lambda^2, ... until the first dependency; the
+    # basis is cleared to integers once for all the normal forms
+    divisors = IntBasis(gb)
     lam_poly = _lambda_poly(n1, lam)
     krylov = KrylovEchelon(RAT_ONE)
     power = SparsePoly.const(n1, 1)
     relation = krylov.add(coords(power))
     while relation is None:
-        power = normal_form(lam_poly * power, gb)
+        power = normal_form(lam_poly * power, divisors)
         relation = krylov.add(coords(power))
     q = UniPoly([-c for c in relation] + [RAT_ONE])
     if q.degree() < dim:
@@ -157,7 +159,7 @@ def solve_toric_0d(system, lam, *, check: bool = True) -> GeometricResolution:
     # the powers span the quotient, so every coordinate is in their span
     params = {}
     for v in range(m):
-        xv = normal_form(SparsePoly.monomial(n1, [int(j == v) for j in range(n1)]), gb)
+        xv = normal_form(SparsePoly.monomial(n1, [int(j == v) for j in range(n1)]), divisors)
         params[v] = UniPoly(krylov.solve(coords(xv)))
     res = GeometricResolution((), tuple(range(m)), lam, q, params)
     if check:

@@ -289,16 +289,18 @@ def test_verify_names_a_missing_line(fivevar_resolution, tmp_path, capsys, key):
     ("\nq 0 : ", "\nq 0 : 7\nq 0 : ", "repeated term"),
     ("provenance b 1\n", "provenance b 1 7\n", "lacks the provenance"),
     ("provenance b 1\n", "", "lacks the provenance"),
+    ("provenance order 1 2 3 5 4\n", "provenance order 1 2 3 5 5\n", "lacks the provenance"),
     ("\nmu 1\n", "\nmu 2\nmu 1\n", "repeated 'mu' line"),
     ("provenance b 1\n", "provenance b 7\nprovenance b 1\n", "repeated provenance"),
 ], ids=["bare_provenance", "negative_sole_degree", "negative_degree", "stray_v",
-        "stray_parent_w", "repeated_degree", "long_b", "missing_b", "repeated_line",
-        "repeated_provenance"])
+        "stray_parent_w", "repeated_degree", "long_b", "missing_b", "repeated_order",
+        "repeated_line", "repeated_provenance"])
 def test_verify_rejects_a_malformed_line(fivevar_resolution, tmp_path, capsys,
                                           good, bad, message):
     # a negative degree beside other terms would index the top coefficient; a
     # v line for a variable outside its block, a repeated line and a b of the
-    # wrong length would be ignored, overridden or cut short
+    # wrong length would be ignored, overridden or cut short, and an order that
+    # is not a permutation would bind one variable twice
     sys_path, text = fivevar_resolution
     assert good in text
     bad_path = tmp_path / "malformed.txt"
