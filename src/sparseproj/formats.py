@@ -410,9 +410,10 @@ def parse_resolution(text: str) -> ParsedResolution:
         terms = upolys.get((key, var))
         if not terms:
             return UniPoly.zero()
-        coeffs = [RatFun.from_const(t, 0)] * (max(terms) + 1)
+        coeffs = [RatFun.from_const(t, 0) if t else rat(0)] * (max(terms) + 1)
         for k, expr in terms.items():
-            coeffs[k] = parse_ratfun(expr, labels)
+            c = parse_ratfun(expr, labels)
+            coeffs[k] = c if t else c.evaluate(())  # Rat when nothing is free
         return UniPoly(coeffs)
 
     def build(variables, form, q_key: str, v_key: str) -> GeometricResolution:

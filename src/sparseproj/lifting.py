@@ -25,9 +25,10 @@ residual of the last one before yielding it.  The projection driver
 certifies a reconstruction after every yield and stops at the first
 certified one.  Every product modulo the monic q -- the determinant's
 cofactors, the Newton step on its inverse, the adjugate and the two
-derivative * rho updates -- is one ``upoly_mulmod``, which the integer kernel
+derivative * rho updates -- is ``Residue.mul``, which the integer kernel
 ``kernels.series_mulmod`` computes with one normalisation per coefficient of
-the remainder.
+the remainder.  Each doubling builds one ``Residue`` per modulus: q and its
+truncation for the Jacobian before the update, the updated q after it.
 
 J c = G is solved by the adjugate of J, from cofactors, times d = det(J)^(-1)
 mod q.  The lift computes d once, at the fiber, by ``upoly_ext_inv`` over Q
@@ -49,7 +50,7 @@ import functools
 from .mpoly import SparsePoly
 from .rat import rat
 from .series import SeriesRing, TruncSeries
-from .upoly import UniPoly, upoly_ext_inv, upoly_is_squarefree, upoly_mod, upoly_mulmod
+from .upoly import Residue, UniPoly, upoly_ext_inv, upoly_is_squarefree
 from .zerodim import Composition, linear_form
 
 
@@ -94,20 +95,21 @@ def _series_term(ring: SeriesRing):
     return lambda e, c: expand(e) * c
 
 
-def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
+def _solve_jacobian(jmat, gvec, mod: Residue, d_inv, cut: int, ring: SeriesRing):
     """Solve J c = G mod q; returns c and det(J)^(-1) mod q for the next step.
 
     The corrections have valuation above the previously trusted degree, so
     the inverse Jacobian only matters through degree ``cut``: determinant,
     adjugate and the inverse of the determinant run in a ring truncated
-    there.  ``d_inv`` is None at the fiber (cut 0), where the inverse comes
-    from ``upoly_ext_inv`` over Q; otherwise it is the previous step's, and
-    one Newton step makes it right through ``cut``.
+    there, modulo q truncated there.  ``d_inv`` is None at the fiber (cut
+    0), where the inverse comes from ``upoly_ext_inv`` over Q; otherwise it
+    is the previous step's, and one Newton step makes it right through
+    ``cut``.
     """
     m = len(gvec)
     small = ring.with_prec(cut)
     jc = [[_reringed(x, small) for x in row] for row in jmat]
-    qc = _reringed(q, small)
+    mod_c = Residue(_reringed(mod.q, small))
 
     def det(rows):
         if not rows:
@@ -117,7 +119,7 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
         acc = UniPoly.zero()
         for j in range(len(rows)):
             minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = upoly_mulmod(rows[0][j], det(minor), qc)
+            term = mod_c.mul(rows[0][j], det(minor))
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
 
@@ -128,12 +130,12 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
                 lambda c: c.constant_term() if isinstance(c, TruncSeries) else c)
 
         try:
-            d_inv = upoly_ext_inv(over_q(dj), over_q(qc)).map_coeffs(small.constant)
+            d_inv = upoly_ext_inv(over_q(dj), over_q(mod_c.q)).map_coeffs(small.constant)
         except ZeroDivisionError as exc:
             raise SingularJacobian("singular Jacobian at the expansion point") from exc
     else:
         d_inv = _reringed(d_inv, small)
-        d_inv = upoly_mulmod(d_inv, UniPoly.const(2) - upoly_mulmod(dj, d_inv, qc), qc)
+        d_inv = mod_c.mul(d_inv, UniPoly.const(2) - mod_c.mul(dj, d_inv))
     d_full = _reringed(d_inv, ring)
 
     # adjugate: adj[i][j] = (-1)^{i+j} * minor_{j,i}
@@ -143,9 +145,9 @@ def _solve_jacobian(jmat, gvec, q: UniPoly, d_inv, cut: int, ring: SeriesRing):
         for j in range(m):
             minor = [row[:i] + row[i + 1:] for k, row in enumerate(jc) if k != j]
             cof = _reringed(det(minor), ring)
-            term = upoly_mulmod(cof, gvec[j], q)
+            term = mod.mul(cof, gvec[j])
             acc = acc + term if (i + j) % 2 == 0 else acc - term
-        out.append(upoly_mulmod(acc, d_full, q))
+        out.append(mod.mul(acc, d_full))
     return out, d_inv
 
 
@@ -184,27 +186,29 @@ def newton_hensel_lift(system, base, xi, kappa: int):
         q = _reringed(q, ring)
         w = {v: _reringed(p, ring) for v, p in w.items()}
         series_term = _series_term(ring)
-        compose = Composition(w, q, t, series_term)
+        mod = Residue(q)
+        compose = Composition(w, mod, t, series_term)
         gvec = [compose(g) for g in system]
         _assert_valuation(gvec, prec, "residual from previous step")
         jmat = [[compose(d) for d in row] for row in jacobian]
-        cvec, d_inv = _solve_jacobian(jmat, gvec, q, d_inv, new_prec - prec - 1, ring)
-        rho = linear_form(dict(enumerate(cvec)), range(m), lam, q)
+        cvec, d_inv = _solve_jacobian(jmat, gvec, mod, d_inv, new_prec - prec - 1, ring)
+        rho = linear_form(dict(enumerate(cvec)), range(m), lam, mod)
 
         new_w = {}
         for j in range(m):
             u = w[t + j] - cvec[j]
-            new_w[t + j] = u + upoly_mulmod(u.derivative(), rho, q)
-        q = q + upoly_mulmod(q.derivative(), rho, q)
+            new_w[t + j] = u + mod.mul(u.derivative(), rho)
+        q = q + mod.mul(q.derivative(), rho)
         if not q.is_monic():
             raise LiftingError("lifted minimal polynomial lost monicity")
         w = new_w
         prec = new_prec
 
-        if upoly_mod(linear_form(w, range(t, t + m), lam, q) - UniPoly.y_power(1), q):
+        mod = Residue(q)
+        if mod.reduce(linear_form(w, range(t, t + m), lam, mod) - UniPoly.y_power(1)):
             raise LiftingError("separating-form consistency lost during lifting")
         if prec == kappa:
-            compose = Composition(w, q, t, series_term)
+            compose = Composition(w, mod, t, series_term)
             _assert_valuation([compose(g) for g in system], kappa, "final residual")
         yield LiftedResolution(lam, q, w, ring)
 

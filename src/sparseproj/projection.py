@@ -36,7 +36,7 @@ from .rat import rat
 from .ratfun import RatFun
 from .series import TruncSeries
 from .supports import VarOrder, project_supports, trans_basis
-from .upoly import UniPoly, upoly_is_squarefree, upoly_mod, upoly_mulmod
+from .upoly import Residue, UniPoly, upoly_is_squarefree
 from .zerodim import (
     DEFAULT_BOUND,
     DEFAULT_RETRIES,
@@ -299,7 +299,8 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu) -> GeometricReso
                                    UniPoly.const(one),
                                    {v: UniPoly.zero() for v in projected_vars})
 
-    p_mu = linear_form(res.params, projected_vars, mu, q)
+    mod = Residue(q)
+    p_mu = linear_form(res.params, projected_vars, mu, mod)
     zero = one - one
 
     def vec(p: UniPoly):
@@ -310,14 +311,14 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu) -> GeometricReso
     power = UniPoly.const(one)
     relation = krylov.add(vec(power))
     while relation is None:
-        power = upoly_mulmod(power, p_mu, q)
+        power = mod.mul(power, p_mu)
         relation = krylov.add(vec(power))
     q_mu = UniPoly([-c for c in relation] + [one])
 
     params = {}
     for v in projected_vars:
         try:
-            params[v] = UniPoly(krylov.solve(vec(upoly_mod(res.params[v], q))))
+            params[v] = UniPoly(krylov.solve(vec(mod.reduce(res.params[v]))))
         except InconsistentSystem as exc:
             raise MuNotPrimitive(
                 f"mu not primitive for projection (coordinate {v})") from exc
@@ -325,11 +326,12 @@ def geom_res_proj(res: GeometricResolution, projected_vars, mu) -> GeometricReso
     return GeometricResolution(res.free_vars, projected_vars, mu, q_mu, params)
 
 
-def _eval_at_upoly(p: UniPoly, x: UniPoly, q: UniPoly) -> UniPoly:
+def _eval_at_upoly(p: UniPoly, x: UniPoly, mod: Residue) -> UniPoly:
+    """p(x) in the residue ring ``mod``, by Horner's rule."""
     acc = UniPoly.zero()
     for c in reversed(p.coeffs):
-        acc = upoly_mulmod(acc, x, q) + UniPoly.const(c)
-    return upoly_mod(acc, q)
+        acc = mod.mul(acc, x) + UniPoly.const(c)
+    return mod.reduce(acc)
 
 
 # -- verification report ---------------------------------------------------------
@@ -403,14 +405,15 @@ def verify_resolution(res: GeometricResolution, context) -> VerificationReport:
         entries.extend(parametric_identities(res, context, t))
     else:
         parent, projected_vars, mu = context
-        q = parent.q
-        p_mu = linear_form(parent.params, projected_vars, mu, q)
+        # modulo q/lc(q), as in ``parametric_identities``
+        mod = Residue(parent.q.monic())
+        p_mu = linear_form(parent.params, projected_vars, mu, mod)
         entries.append(("q_mu(p_mu) = 0 mod q_lambda",
-                        not _eval_at_upoly(res.q, p_mu, q)))
+                        not _eval_at_upoly(res.q, p_mu, mod)))
         for v in projected_vars:
-            diff = _eval_at_upoly(res.params[v], p_mu, q) - parent.params[v]
+            diff = _eval_at_upoly(res.params[v], p_mu, mod) - parent.params[v]
             entries.append((f"v(p_mu) = w mod q_lambda for X{v + 1}",
-                            not upoly_mod(diff, q)))
+                            not mod.reduce(diff)))
     entries.append(("q monic", res.q.is_monic()))
     entries.append(("q squarefree", _upoly_squarefree(res.q, t)))
     entries.append(("deg params < deg q",

@@ -8,10 +8,10 @@ Newton lifting relies on this: a series known to agree with a polynomial (or
 to vanish below some degree) costs only its true support.  A product is
 ``kernels.series_mul``: each operand's terms as integer numerators over its
 one denominator, one integer convolution that drops the terms above kappa,
-and one normalisation per output coefficient; ``kernels.series_mulmod``
-multiplies polynomials in Y over series, and over Q, the ring in no
-variables at order 0, on the same integer rows.  A polynomial in the X
-variables enters by one Taylor shift,
+and one normalisation per output coefficient; ``kernels.series_mulmod``,
+the product of ``upoly.Residue``, multiplies polynomials in Y modulo q over
+series, and over Q, the ring in no variables at order 0, on the same rows.
+A polynomial in the X variables enters by one Taylor shift,
 ``SparsePoly.translate(xi)``, which writes it in the Z variables.
 
 Inversion requires a unit (nonzero constant term) and runs the usual

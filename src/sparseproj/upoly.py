@@ -3,33 +3,26 @@
 Coefficients are stored lowest degree first in a trimmed tuple; the zero
 polynomial is the empty tuple.  The domain is duck-typed: Rat, RatFun and
 TruncSeries all work, as do plain ints (which the domains absorb on contact).
-``divrem`` divides by the leading coefficient, so over the truncated-series
-ring it raises whenever that coefficient is not a unit.  The lift never
-divides by a series: it reduces only modulo a monic q and refines
-det(J)^(-1) by Newton steps.
+``upoly_divrem`` is one coefficient loop for every domain; it divides by the
+leading coefficient, so over the truncated-series ring it raises whenever
+that coefficient is not a unit.  The lift never divides by a series: it
+reduces only modulo a monic q and refines det(J)^(-1) by Newton steps.
 
-Over Q (every coefficient an int or a Rat) divisions go to the integer
-kernel ``kernels.dense_divrem``, with one gcd per output coefficient.
-``upoly_mulmod`` is every product mod q of the pipeline: over Q, the series
-ring in no variables at order 0, and over the truncated series of one ring
-it goes to ``kernels.series_mulmod``, which reduces the integer product and
-normalises only the remainder; otherwise it is ``upoly_mod(a * b, q)``.
+``Residue`` is the residue ring K[Y]/(q) of a monic q, built once per
+modulus; its ``mul`` is every product mod q of the pipeline.  It reads the
+domain from q, and over Q, the series ring in no variables at order 0, and
+over the truncated series of one ring it writes q as integer rows once: a
+product is then ``kernels.series_mulmod``, which reduces the integer product
+and normalises only the remainder.  Over Q(X_free) it is
+``upoly_mod(a * b, q)``.
 """
 
 from __future__ import annotations
 
-from .kernels import dense_divrem, series_mulmod
+from .kernels import series_mulmod, series_rows
 from .mpoly import SparsePoly, mpoly_gcd
 from .rat import RAT_ONE, RAT_ZERO, Rat
 from .series import TruncSeries
-
-
-def _over_q(coeffs) -> bool:
-    """Every coefficient an int or a Rat; stops at the first that is not."""
-    for c in coeffs:
-        if type(c) is not Rat and type(c) is not int:
-            return False
-    return True
 
 
 class UniPoly:
@@ -87,6 +80,12 @@ class UniPoly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def monic(self) -> "UniPoly":
+        """p/lc(p), which generates the same ideal; zero and monic p as they are."""
+        if not self.coeffs or self.coeffs[-1] == 1:
+            return self
+        return self.scale(RAT_ONE / self.coeffs[-1])
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -147,19 +146,17 @@ def upoly_divrem(a: UniPoly, b: UniPoly):
     da, db = a.degree(), b.degree()
     if da < db:
         return UniPoly(()), a
-    if _over_q(a.coeffs) and _over_q(b.coeffs):
-        quo, rem = dense_divrem(a.coeffs, b.coeffs)
-        return UniPoly(quo), UniPoly(rem)
     rem = list(a.coeffs)
     lb = b.lc()
-    monic = lb == 1
+    # a rational 1, so that an int lc(b) does not make the quotient float
+    inv = None if lb == 1 else RAT_ONE / lb
     bc = b.coeffs
     q = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
         top = rem[db + k]
         if not top:
             continue
-        f = top if monic else top / lb
+        f = top if inv is None else top * inv
         q[k] = f
         for i in range(db):
             rem[i + k] = rem[i + k] - f * bc[i]
@@ -171,25 +168,58 @@ def upoly_mod(a: UniPoly, b: UniPoly) -> UniPoly:
     return upoly_divrem(a, b)[1]
 
 
-def upoly_mulmod(a: UniPoly, b: UniPoly, q: UniPoly) -> UniPoly:
-    """a*b mod q.
+class Residue:
+    """K[Y]/(q) for a monic q: ``mul(a, b)`` is a*b mod q, ``reduce(a)`` a mod q.
 
-    Over Q and over the truncated series of one ring, q must be monic and
-    the kernel ``series_mulmod`` computes the product and its remainder on
-    integers; a rational c is the series ``[{(): c}]`` in no variables at
-    order 0.  Every other domain runs ``upoly_mod(a * b, q)``.
+    Raises ZeroDivisionError for a zero q and ValueError for one that is not
+    monic.  Over Q and over the series ring of lc(q), q's integer rows are
+    built here, once, and both operations run ``kernels.series_mulmod``; an
+    int or a Rat beside series is a constant of the ring.  Over any other
+    domain (Q(X_free)) both run the coefficient loop of ``upoly_divrem``.
     """
-    if q and all(_over_q(p.coeffs) for p in (q, a, b)):
-        rem = series_mulmod(*[[[{(): c}] if c else [{}] for c in p.coeffs]
-                              for p in (a, b, q)], 0)
-        return UniPoly([comps[0].get((), RAT_ZERO) for comps in rem])
-    ring = q.coeffs[-1].ring if q and type(q.coeffs[-1]) is TruncSeries else None
-    if ring is None or not all(type(c) is TruncSeries and c.ring == ring
-                               for p in (a, b, q) for c in p.coeffs):
-        return upoly_mod(a * b, q)
-    rem = series_mulmod([c.comps for c in a.coeffs], [c.comps for c in b.coeffs],
-                        [c.comps for c in q.coeffs], ring.prec)
-    return UniPoly([TruncSeries(ring, comps, _clean=True) for comps in rem])
+
+    __slots__ = ("q", "_ring", "_size", "_rows")
+
+    def __init__(self, q: UniPoly):
+        if not q:
+            raise ZeroDivisionError("zero divisor")
+        if not q.is_monic():
+            raise ValueError("modulus must be monic")
+        self.q = q
+        lead = q.lc()
+        self._ring = ring = lead.ring if type(lead) is TruncSeries else None
+        self._size = (ring.prec, ring.nvars) if ring is not None else (0, 0)
+        kernel = ring is not None or all(type(c) is Rat or type(c) is int for c in q.coeffs)
+        self._rows = series_rows(self._comps(q), self._size[0]) if kernel else None
+
+    def _comps(self, p: UniPoly) -> list:
+        """The component lists of p's coefficients, for the kernel."""
+        ring = self._ring
+        if ring is None:
+            return [[{(): c}] if c else [{}] for c in p.coeffs]
+        out = []
+        for c in p.coeffs:
+            if type(c) is not TruncSeries:
+                c = ring.constant(c)
+            elif c.ring is not ring and c.ring != ring:
+                raise ValueError("series ring mismatch")
+            out.append(c.comps)
+        return out
+
+    def mul(self, a: UniPoly, b: UniPoly) -> UniPoly:
+        if self._rows is None:
+            return upoly_mod(a * b, self.q)
+        rem = series_mulmod(self._comps(a), self._comps(b), self._rows, *self._size)
+        if self._ring is None:
+            return UniPoly([comps[0].get((), RAT_ZERO) for comps in rem])
+        return UniPoly([TruncSeries(self._ring, comps, _clean=True) for comps in rem])
+
+    def reduce(self, a: UniPoly) -> UniPoly:
+        if a.degree() < self.q.degree():
+            return a
+        if self._rows is None:
+            return upoly_mod(a, self.q)
+        return self.mul(a, UniPoly.const(1))
 
 
 def upoly_ext_inv(a: UniPoly, q: UniPoly) -> UniPoly:

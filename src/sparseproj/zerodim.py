@@ -19,7 +19,7 @@ share: the identities every resolution satisfies modulo q
 routine (``Draws``), and the evaluation of a parametrization v(Y) modulo q
 over a coefficient domain the caller picks (Q, Q(X_free) or the lift's
 series): ``Composition`` composes polynomials with it, and ``linear_form``
-forms sum c_j v_j.
+forms sum c_j v_j, both in the caller's ``upoly.Residue`` of q.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .linalg import KrylovEchelon
 from .mpoly import SparsePoly
 from .rat import RAT_ONE, RAT_ZERO, rat
 from .ratfun import RatFun
-from .upoly import UniPoly, upoly_coprime, upoly_is_squarefree, upoly_mod, upoly_mulmod
+from .upoly import Residue, UniPoly, upoly_coprime, upoly_is_squarefree
 
 
 class LambdaNotSeparating(ArithmeticError):
@@ -183,14 +183,14 @@ def parametric_identities(res: GeometricResolution, system, t: int):
 
     Both are exact modulo q, over Q(X_0..X_{t-1}) (plain Q when t = 0):
     sum_j lam_j v_j = Y, then f_k(X_free, v(Y)) = 0 for each polynomial of
-    ``system``, whose first t variables are the free ones.  One Composition
-    serves all of them.
+    ``system``, whose first t variables are the free ones.  They reduce
+    modulo q/lc(q), which generates the same ideal, so that a q that is not
+    monic fails a check, not the reduction.  One Composition serves all.
     """
-    q = res.q
-    lam_comb = linear_form(res.params, res.dep_vars, res.lam, q)
-    yield ("sum lambda_j v_j = Y",
-           not upoly_mod(lam_comb - UniPoly.y_power(1), q))
-    compose = Composition(res.params, q, t, fraction_term(t))
+    mod = Residue(res.q.monic())
+    lam_comb = linear_form(res.params, res.dep_vars, res.lam, mod)
+    yield ("sum lambda_j v_j = Y", not mod.reduce(lam_comb - UniPoly.y_power(1)))
+    compose = Composition(res.params, mod, t, fraction_term(t))
     for k, g in enumerate(system):
         yield f"membership f{k + 1}", not compose(g)
 
@@ -222,13 +222,14 @@ class Composition:
     Variable t + j of g is replaced by ``params[t + j]``, and the free part
     c * X_free^e of a term by ``free_part(e, c)`` in the coefficient domain
     of q and the params: a fraction over Q(X_free) in the audits
-    (``fraction_term``), a series at xi in the lift.  Products of powers of
-    the params are cached: one Composition serves a system and its Jacobian.
+    (``fraction_term``), a series at xi in the lift, and ``mod`` is the
+    residue ring of q.  Products of powers of the params are cached: one
+    Composition serves a system and its Jacobian.
     """
 
-    def __init__(self, params: dict, q: UniPoly, t: int, free_part):
+    def __init__(self, params: dict, mod: Residue, t: int, free_part):
         self.params = params
-        self.q = q
+        self.mod = mod
         self.t = t
         self.free_part = free_part
         self._powers: dict = {}    # (variable, k) -> params[variable]^k mod q
@@ -238,7 +239,7 @@ class Composition:
         got = self._powers.get((v, k))
         if got is None:
             got = (self.params[v] if k == 1
-                   else upoly_mulmod(self._power(v, k - 1), self.params[v], self.q))
+                   else self.mod.mul(self._power(v, k - 1), self.params[v]))
             self._powers[(v, k)] = got
         return got
 
@@ -249,7 +250,7 @@ class Composition:
             for j, k in enumerate(pattern):
                 if k:
                     p = self._power(self.t + j, k)
-                    got = p if got is None else upoly_mulmod(got, p, self.q)
+                    got = p if got is None else self.mod.mul(got, p)
             self._products[pattern] = got
         return self._products[pattern]
 
@@ -261,17 +262,17 @@ class Composition:
             dep = self._product(e[t:])
             acc = acc + (UniPoly.const(scalar) if dep is None
                          else dep.map_coeffs(lambda s: s * scalar))
-        return upoly_mod(acc, self.q)
+        return self.mod.reduce(acc)
 
 
-def linear_form(params: dict, variables, coeffs, q: UniPoly) -> UniPoly:
-    """sum_j coeffs_j * params[variables_j] reduced mod q, for rational
-    coeffs and params over Rat, RatFun or TruncSeries."""
+def linear_form(params: dict, variables, coeffs, mod: Residue) -> UniPoly:
+    """sum_j coeffs_j * params[variables_j] reduced in the residue ring
+    ``mod``, for rational coeffs and params over Rat, RatFun or TruncSeries."""
     acc = UniPoly.zero()
     for v, c in zip(variables, coeffs, strict=True):
         if c:
             acc = acc + params[v].scale(rat(c))
-    return upoly_mod(acc, q)
+    return mod.reduce(acc)
 
 
 class Draws:

@@ -127,26 +127,54 @@ def test_project_text_output(files, capsys):
     assert "X3 = Y" in out
 
 
-def test_verify_roundtrip_and_mutation(files, capsys):
-    res_path = str(files["tmp"] / "res.txt")
-    assert main(["project", files["sys5"], "--lambda", "X5=1", "--mu", "X3=1",
-                 "--b", "X4=1", "--xi", "X1=2,X2=3", "--output", res_path,
+FIVEVAR_PINS = ["--lambda", "X5=1", "--mu", "X3=1", "--b", "X4=1", "--xi", "X1=2,X2=3"]
+
+
+@pytest.mark.parametrize("t,system,pins,good,bad", [
+    (0, "fiber3", [], "q 1 : 63/2\n", "q 1 : 65/2\n"),
+    (1, "sys3", [], "q 1 : -270*X1^3-135*X1^2\n", "q 1 : -270*X1^3-137*X1^2\n"),
+    (2, "sys5", FIVEVAR_PINS, "q 4 : (3/2)/(X1*X2)", "q 4 : (5/2)/(X1*X2)"),
+], ids=["t0", "t1", "t2"])
+def test_verify_roundtrip_and_mutation(files, capsys, t, system, pins, good, bad):
+    res_path = files["tmp"] / "res.txt"
+    assert main(["project", files[system], *pins, "--output", str(res_path),
                  "--format", "structured"]) == 0
     capsys.readouterr()
-    assert main(["verify", files["sys5"], res_path]) == 0
-    out = capsys.readouterr().out
-    assert "all identities pass" in out
+    text = res_path.read_text()
+    assert f"provenance t {t}\n" in text
+    assert main(["verify", files[system], str(res_path)]) == 0
+    assert "all identities pass" in capsys.readouterr().out
+
+    def verify(mutated):
+        assert mutated != text
+        bad_path = files["tmp"] / "bad.txt"
+        bad_path.write_text(mutated)
+        code = main(["verify", files[system], str(bad_path)])
+        return code, capsys.readouterr()
 
     # corrupt one coefficient and expect a named failing identity
-    text = open(res_path).read()
-    bad = text.replace("q 4 : (3/2)/(X1*X2)", "q 4 : (5/2)/(X1*X2)")
-    assert bad != text
-    bad_path = str(files["tmp"] / "bad.txt")
-    open(bad_path, "w").write(bad)
-    assert main(["verify", files["sys5"], bad_path]) == 1
-    captured = capsys.readouterr()
-    assert "FAIL" in captured.out
-    assert "q_mu(p_mu)" in captured.err or "q_mu" in captured.out
+    code, captured = verify(text.replace(good, bad))
+    assert code == 1
+    assert "projected q_mu(p_mu) = 0 mod q_lambda: FAIL" in captured.out
+
+    # a parent q that is not monic is reported, at every t, as the failed
+    # identities it makes and its own failed check
+    lead = next(line for line in text.splitlines() if line.startswith("parent_q "))
+    assert lead.endswith(" : 1")
+    code, captured = verify(text.replace(lead + "\n", lead[:-1] + "2\n"))
+    assert code == 1
+    failed = ["parametric membership f1"] if t < 2 else []
+    failed += ["parametric membership f2", "parametric q monic",
+               "projected q_mu(p_mu) = 0 mod q_lambda"]
+    assert captured.err == "FAILED: " + "; ".join(failed) + "\n"
+    assert [line for line in captured.out.splitlines() if line.endswith("FAIL")] \
+        == [name + ": FAIL" for name in failed]
+
+    # a zero parent q leaves no residue ring to reduce in
+    zero = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("parent_q ")) + "parent_q zero\n"
+    code, captured = verify(zero)
+    assert code == 1 and captured.err == "failure: zero divisor\n"
 
 
 def test_usage_and_parse_errors(files, capsys, tmp_path):

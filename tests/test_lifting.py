@@ -5,7 +5,7 @@ from sparseproj.lifting import LiftingError, SingularJacobian, _series_term, new
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
 from sparseproj.series import TruncSeries
-from sparseproj.upoly import UniPoly
+from sparseproj.upoly import Residue, UniPoly
 from sparseproj.projection import parametric_toric_geomres
 from sparseproj.zerodim import Composition, GeometricResolution, fraction_term, solve_toric_0d
 
@@ -68,9 +68,7 @@ def test_one_equation_lift_stays_in_the_kernel(monkeypatch):
     # X2^2 - X1 - 3 at xi = 1: q = Y^2 - (4 + Z) and X2 = Y at every precision,
     # and every product mod q of the lift, the adjugate's included, runs on
     # integers over the series
-    import sparseproj.lifting as lifting
     import sparseproj.upoly as upoly
-    import sparseproj.zerodim as zerodim
 
     calls = {"mulmod": 0, "kernel": 0}
 
@@ -80,8 +78,7 @@ def test_one_equation_lift_stays_in_the_kernel(monkeypatch):
             return f(*args)
         return wrapped
 
-    for module in (lifting, zerodim):
-        monkeypatch.setattr(module, "upoly_mulmod", counting("mulmod", module.upoly_mulmod))
+    monkeypatch.setattr(upoly.Residue, "mul", counting("mulmod", upoly.Residue.mul))
     monkeypatch.setattr(upoly, "series_mulmod", counting("kernel", upoly.series_mulmod))
     system = [SparsePoly(2, {(0, 2): 1, (1, 0): -1, (0, 0): -3})]
     base = GeometricResolution((), (0,), (1,), UniPoly([rat(-4), rat(0), rat(1)]),
@@ -154,9 +151,9 @@ def test_one_composition_over_fractions_and_series():
     # g is not in the system, so both compositions are nonzero
     g = SparsePoly(3, {(1, 1, 0): 1, (0, 0, 2): 1})
     res = parametric_toric_geomres(threevar_system(), 1, (0, 1), xi=(1,))
-    over_q = Composition(res.params, res.q, 1, fraction_term(1))(g)
+    over_q = Composition(res.params, Residue(res.q), 1, fraction_term(1))(g)
     lift = lifted_threevar(12)
-    over_series = Composition(lift.params, lift.q, 1, _series_term(lift.ring))(g)
+    over_series = Composition(lift.params, Residue(lift.q), 1, _series_term(lift.ring))(g)
     assert over_q.degree() == over_series.degree() == 1
     for k in range(over_q.degree() + 1):
         c = over_q[k]

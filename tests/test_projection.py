@@ -638,16 +638,15 @@ def test_tooling_names_stay_in_place():
     assert mpoly.poly_mul is kernels.poly_mul
     # the timed span groebner.buchberger and the counted groebner.normal_form
     assert callable(groebner.buchberger) and callable(groebner.normal_form)
-    # the univariate division over Q, called by upoly through the same object
-    assert upoly.dense_divrem is kernels.dense_divrem
-    # the product mod q over Q and over truncated series, called by
-    # upoly.upoly_mulmod
+    # the product mod q over Q and over truncated series, and the row form
+    # of q that upoly.Residue builds once per modulus
     assert upoly.series_mulmod is kernels.series_mulmod
+    assert upoly.series_rows is kernels.series_rows
     # and no other kernel
     assert {name for name, f in vars(kernels).items()
             if callable(f) and getattr(f, "__module__", None) == kernels.__name__
             and not name.startswith("_")} == {"poly_mul", "poly_addmul", "series_mul",
-                                              "dense_divrem", "series_mulmod"}
+                                              "series_mulmod", "series_rows"}
     assert ratfun.mpoly_gcd is mpoly.mpoly_gcd
     assert upoly.mpoly_gcd is mpoly.mpoly_gcd
     assert projection.mpoly_gcd is mpoly.mpoly_gcd

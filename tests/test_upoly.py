@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import packing_edge_series
-from sparseproj.kernels import dense_divrem, series_mulmod
+from sparseproj.kernels import series_mulmod, series_rows
 from sparseproj.mpoly import SparsePoly
 from sparseproj.rat import rat
 from sparseproj.ratfun import RatFun
 from sparseproj.series import SeriesRing, TruncSeries
 from sparseproj.upoly import (
+    Residue,
     UniPoly,
-    _over_q,
     upoly_coprime,
     upoly_divrem,
     upoly_ext_inv,
     upoly_mod,
-    upoly_mulmod,
 )
 
 
@@ -63,13 +62,12 @@ def test_divrem_reconstruction(a, b):
     assert r.degree() < pb.degree()
 
 
-# -- the integer kernels against a schoolbook oracle --------------------------
+# -- the coefficient loops and the integer kernel against a schoolbook oracle ---
 #
-# Over Q, divisions go to ``kernels.dense_divrem`` and products mod q to
-# ``kernels.series_mulmod``.  The oracle below is the plain coefficient loop,
-# generic over the domain: over Fraction it is the reference for the kernels
-# and for ``UniPoly`` products, over RatFun the reference for the loop that
-# such coefficients keep.
+# Over Q, products mod q go to ``kernels.series_mulmod`` through ``Residue``.
+# The oracle below is the plain coefficient loop, generic over the domain: over
+# Fraction it is the reference for ``UniPoly`` products and divisions, over
+# RatFun the reference for the loop that such coefficients keep.
 
 
 def _trim(cs):
@@ -137,10 +135,8 @@ def test_divrem_matches_schoolbook(a, b, monic):
     quo, rem = upoly_divrem(UniPoly(a), UniPoly(b))
     want_q, want_r = oracle_divrem(over_q(a), over_q(b))
     assert coeffs_of(quo) == want_q and coeffs_of(rem) == want_r
-    if len(a) >= len(b):
-        assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
-        kq, kr = dense_divrem(a, b)
-        assert _trim(kq) == want_q and _trim(kr) == want_r
+    # an int leading coefficient divides as a rational, never as a float
+    assert all(type(c) in (int, Fraction) for c in quo.coeffs + rem.coeffs)
 
 
 def test_integer_path_edge_cases():
@@ -185,32 +181,52 @@ monic_divisors = divisors.map(lambda b: [Fraction(c) / b[-1] for c in b])
 @settings(max_examples=200, deadline=None)
 @given(polys, polys, monic_divisors, st.booleans())
 def test_mulmod_over_q_matches_schoolbook(a, b, q, int_modulus):
-    # the kernel at no variables and order 0 against the product and the
-    # division of the oracle; a q with integer coefficients may come as ints
+    # the kernel at no variables and order 0 against the coefficient loop; a
+    # q with integer coefficients may come as ints
     if int_modulus and all(c.denominator == 1 for c in q):
         q = [int(c) for c in q]
-    got = upoly_mulmod(UniPoly(a), UniPoly(b), UniPoly(q))
+    pa, pb, pq = UniPoly(a), UniPoly(b), UniPoly(q)
+    mod = Residue(pq)
+    got = mod.mul(pa, pb)
+    assert got == upoly_mod(pa * pb, pq)
     assert coeffs_of(got) == oracle_divrem(oracle_mul(over_q(a), over_q(b)), over_q(q))[1]
     assert all(type(c) is Fraction for c in got.coeffs)
+    got = mod.reduce(pa * pb)
+    assert got == upoly_mod(pa * pb, pq)
+    assert mod.reduce(pa) == upoly_mod(pa, pq)
 
 
 def test_mulmod_over_q_edge_cases():
     q = UniPoly([Fraction(-2, 3), 0, 5, 1])
     a = UniPoly([3, 0, Fraction(-7, 2), 2, 0, 1])     # deg a >= deg q, interior zeros
     b = UniPoly([2 ** 200, -1, 0, 0, Fraction(1, 2 ** 150)])
-    want = oracle_divrem(oracle_mul(over_q(a.coeffs), over_q(b.coeffs)), over_q(q.coeffs))[1]
-    assert coeffs_of(upoly_mulmod(a, b, q)) == want
+    mod = Residue(q)
+    assert mod.mul(a, b) == upoly_mod(a * b, q)
+    assert mod.reduce(a) == upoly_mod(a, q) and mod.reduce(a * b) == upoly_mod(a * b, q)
     # a multiple of q reduces to zero, and so does everything modulo q = 1
-    assert upoly_mulmod(a, b * q, q).is_zero()
-    assert upoly_mulmod(a, b, UniPoly([1])).is_zero()
-    assert upoly_mulmod(a, UniPoly.zero(), q).is_zero()
+    assert mod.mul(a, b * q).is_zero() and mod.reduce(b * q).is_zero()
+    one = Residue(UniPoly([1]))
+    assert one.mul(a, b).is_zero() and one.reduce(a).is_zero()
+    # deg q = 1: the residue of p is p(-q_0)
+    lin, x = Residue(UniPoly([Fraction(1, 3), 1])), Fraction(-1, 3)
+    assert lin.mul(a, b) == UniPoly([_at(a, x) * _at(b, x)])
+    assert lin.reduce(a) == UniPoly([_at(a, x)])
+    # zero operands
+    assert mod.mul(a, UniPoly.zero()).is_zero() and mod.mul(UniPoly.zero(), b).is_zero()
+    assert mod.reduce(UniPoly.zero()).is_zero()
     # a product of degree below deg q is the product itself
     c = UniPoly([Fraction(1, 3), 2])
-    assert upoly_mulmod(c, c, q) == c * c
-    # a non-monic modulus over Q raises, as over series
+    assert mod.mul(c, c) == c * c
+    # a non-monic modulus raises at construction, and so does a zero one
     for lead in (2, Fraction(1, 2), -1):
-        with pytest.raises(ValueError):
-            upoly_mulmod(a, b, UniPoly([1, 0, lead]))
+        with pytest.raises(ValueError, match="monic"):
+            Residue(UniPoly([1, 0, lead]))
+    with pytest.raises(ZeroDivisionError):
+        Residue(UniPoly.zero())
+
+
+def _at(p: UniPoly, x):
+    return sum(c * x ** k for k, c in enumerate(p.coeffs))
 
 
 ratfuns = st.builds(
@@ -223,38 +239,47 @@ ratfuns = st.builds(
 @given(st.lists(ratfuns, max_size=4).map(_trim),
        st.lists(ratfuns, min_size=1, max_size=3).map(_trim).filter(bool))
 def test_ratfun_coefficients_keep_the_loop(a, b):
-    # the integer division must not see RatFun coefficients; the loop gives
-    # what the schoolbook oracle gives over Q(X1)
+    # the loop gives what the schoolbook oracle gives over Q(X1), and the
+    # residue ring of a q over Q(X1) runs it, not the integer kernel
     import sparseproj.upoly as upoly
+
+    assert coeffs_of(UniPoly(a) * UniPoly(b)) == oracle_mul(a, b)
+    quo, rem = upoly_divrem(UniPoly(a), UniPoly(b))
+    want_q, want_r = oracle_divrem(a, b)
+    assert coeffs_of(quo) == want_q and coeffs_of(rem) == want_r
 
     def refuse(*args):
         raise AssertionError("integer kernel called on RatFun coefficients")
 
-    saved = upoly.dense_divrem
-    upoly.dense_divrem = refuse
+    q = UniPoly(b).monic()
+    saved = upoly.series_mulmod, upoly.series_rows
+    upoly.series_mulmod = upoly.series_rows = refuse
     try:
-        assert coeffs_of(UniPoly(a) * UniPoly(b)) == oracle_mul(a, b)
-        quo, rem = upoly_divrem(UniPoly(a), UniPoly(b))
+        mod = Residue(q)
+        got, reduced = mod.mul(UniPoly(a), UniPoly(b)), mod.reduce(UniPoly(a))
     finally:
-        upoly.dense_divrem = saved
-    want_q, want_r = oracle_divrem(a, b)
-    assert coeffs_of(quo) == want_q and coeffs_of(rem) == want_r
+        upoly.series_mulmod, upoly.series_rows = saved
+    assert coeffs_of(got) == oracle_divrem(oracle_mul(a, b), list(q.coeffs))[1]
+    assert coeffs_of(reduced) == oracle_divrem(a, list(q.coeffs))[1]
 
 
-def test_coefficient_check_stops_at_the_first_other_domain():
-    def coeffs():
-        yield RatFun.from_const(1, 2)
-        raise AssertionError("read past the first non-rational coefficient")
-
-    assert not _over_q(coeffs())
-    assert _over_q([1, Fraction(1, 2), 0]) and not _over_q([1, 0.5])
+def test_monic_associate():
+    # p/lc(p) over Q and over Q(X1); zero and monic p stay as they are
+    p = U(2, 4, 6)
+    assert p.monic() == U((1, 3), (2, 3), 1)
+    assert p.monic().is_monic() and UniPoly.zero().monic().is_zero()
+    m = U(5, 1)
+    assert m.monic() is m
+    x1 = RatFun.from_poly(SparsePoly(1, {(1,): 1}))
+    f = UniPoly([RatFun.from_const(1, 1), x1])
+    assert f.monic() == UniPoly([1 / x1, RatFun.from_const(1, 1)])
 
 
 # -- products mod q over truncated series: the kernel against the loop -------------
 #
-# ``upoly_mulmod`` sends series operands of one ring to ``kernels.series_mulmod``;
-# the reference is ``upoly_mod(a * b, q)``, the coefficient loops of ``UniPoly``
-# and ``upoly_divrem`` over TruncSeries.
+# ``Residue`` over the series of one ring sends products and reductions to
+# ``kernels.series_mulmod``; the reference is ``upoly_mod(a * b, q)``, the
+# coefficient loops of ``UniPoly`` and ``upoly_divrem`` over TruncSeries.
 
 
 def _random_series(rng, ring, den_bits):
@@ -296,16 +321,18 @@ def test_series_mulmod_matches_the_loop(t):
         for n in range(1, 6):
             den_bits = rng.choice((1, 8, 100))
             q = _monic(rng, ring, n, den_bits)
+            mod = Residue(q)
             # from below deg q to past it, so that both operands may exceed deg q
             a = _random_upoly(rng, ring, rng.randint(0, n + 2), den_bits)
             b = _random_upoly(rng, ring, rng.randint(n, n + 2), den_bits)
-            got = upoly_mulmod(a, b, q)
+            got = mod.mul(a, b)
             assert got == upoly_mod(a * b, q)
             assert got.degree() < n
             assert all(type(c) is TruncSeries and c.ring is ring for c in got.coeffs)
             assert all(x for c in got.coeffs for comp in c.comps for x in comp.values())
+            assert mod.reduce(a * b) == got and mod.reduce(b) == upoly_mod(b, q)
             # a multiple of q leaves nothing
-            assert upoly_mulmod(a, b * q, q).is_zero()
+            assert mod.mul(a, b * q).is_zero()
     # the packing bound: coefficients with a coordinate equal to kappa, whose
     # products cross degree kappa in the convolution and in the reduction
     for kappa in range(1, 5):
@@ -315,7 +342,7 @@ def test_series_mulmod_matches_the_loop(t):
         q = UniPoly([plus, minus, ring.constant(1)])
         a = UniPoly([minus, plus, plus])
         b = UniPoly([plus, ring.zero(), minus, plus])
-        assert upoly_mulmod(a, b, q) == upoly_mod(a * b, q)
+        assert Residue(q).mul(a, b) == upoly_mod(a * b, q)
 
 
 def test_series_mulmod_edge_cases():
@@ -323,38 +350,76 @@ def test_series_mulmod_edge_cases():
     z = ring.from_shifted_poly
     rng = random.Random(5)
     q = _monic(rng, ring, 2, 100)
+    mod = Residue(q)
     # Z^2 * Z^3 is cut off at degree 4: a product that cancels by truncation
     a = UniPoly([z(SparsePoly(1, {(2,): 1}))])
     b = UniPoly([ring.zero(), z(SparsePoly(1, {(3,): rat(1, 7)}))])
-    assert upoly_mulmod(a, b, q).is_zero() and upoly_mod(a * b, q).is_zero()
+    assert mod.mul(a, b).is_zero() and upoly_mod(a * b, q).is_zero()
     # zero operands; q = 1 leaves no remainder
-    assert upoly_mulmod(UniPoly.zero(), b, q).is_zero()
-    assert upoly_mulmod(a, UniPoly.zero(), q).is_zero()
-    assert upoly_mulmod(q, q, UniPoly([ring.constant(1)])).is_zero()
+    assert mod.mul(UniPoly.zero(), b).is_zero()
+    assert mod.mul(a, UniPoly.zero()).is_zero()
+    assert mod.reduce(UniPoly.zero()).is_zero()
+    one = Residue(UniPoly([ring.constant(1)]))
+    assert one.mul(q, q).is_zero() and one.reduce(q).is_zero()
+    # deg q = 1
+    lin = UniPoly([_random_series(rng, ring, 100), ring.constant(1)])
+    c = _random_upoly(rng, ring, 3, 8)
+    assert Residue(lin).mul(c, c) == upoly_mod(c * c, lin)
+    assert Residue(lin).reduce(c) == upoly_mod(c, lin)
     # a product of degree below deg q is not reduced
     c = UniPoly([_random_series(rng, ring, 100)])
-    assert upoly_mulmod(c, c, q) == c * c
-    # a non-monic q raises, in the kernel and through the entry point
+    assert mod.mul(c, c) == c * c
+    # a non-monic q raises at construction, and so does a zero q
     for lead in (ring.constant(2), ring.constant(1) + z(SparsePoly(1, {(1,): 1}))):
-        bad = UniPoly([ring.constant(1), lead])
-        with pytest.raises(ValueError):
-            upoly_mulmod(a, b, bad)
-        with pytest.raises(ValueError):
-            series_mulmod([a.coeffs[0].comps], [b.coeffs[1].comps],
-                          [c.comps for c in bad.coeffs], ring.prec)
+        with pytest.raises(ValueError, match="monic"):
+            Residue(UniPoly([ring.constant(1), lead]))
+    with pytest.raises(ZeroDivisionError):
+        Residue(UniPoly([ring.zero()]))
+
+
+def test_modulus_rows_are_built_once(monkeypatch):
+    # one conversion of q per Residue, then only the two operands per product
+    import sparseproj.kernels as kernels
+    import sparseproj.upoly as upoly
+
+    ring = SeriesRing((0, 1), (rat(1, 2), rat(3)), 3)
+    rng = random.Random(11)
+    q = _monic(rng, ring, 3, 8)
+    calls = []
+
+    def counting(coeffs, kappa):
+        calls.append(coeffs)
+        return series_rows(coeffs, kappa)
+
+    monkeypatch.setattr(kernels, "series_rows", counting)
+    monkeypatch.setattr(upoly, "series_rows", counting)
+    mod = Residue(q)
+    products = 5
+    for _ in range(products):
+        mod.mul(_random_upoly(rng, ring, 4, 8), _random_upoly(rng, ring, 3, 8))
+    assert len(calls) == 1 + 2 * products
+    assert [c for c in calls if c[0] is q.coeffs[0].comps] == [calls[0]]
 
 
 def test_other_domains_keep_the_loop(monkeypatch):
-    # Q operands go to the kernel; RatFun operands, series of two rings and
-    # series beside plain ints run upoly_mod(a * b, q), not the kernel
+    # Q operands go to the kernel, and so do ints and Rats beside series,
+    # which are constants of the series ring; RatFun operands run
+    # upoly_mod(a * b, q), not the kernel, and series of two rings raise
     import sparseproj.upoly as upoly
 
     a, q = U(1, 2, 3), U((1, 3), 0, 1)
+    r3, r4 = SeriesRing((0,), (0,), 3), SeriesRing((0,), (0,), 4)
+    sq = UniPoly([r3.constant(2), r3.constant(1)])
+    mixed = UniPoly([1, r3.constant(5)])
     calls = []
     monkeypatch.setattr(upoly, "series_mulmod",
                         lambda *args: calls.append(args) or series_mulmod(*args))
-    assert upoly_mulmod(a, a, q) == upoly_mod(a * a, q)
-    assert len(calls) == 1
+    assert Residue(q).mul(a, a) == upoly_mod(a * a, q)
+    assert Residue(sq).mul(mixed, mixed) == upoly_mod(mixed * mixed, sq)
+    assert Residue(sq).mul(UniPoly.const(2), UniPoly([rat(1, 2), 3])) \
+        == upoly_mod(UniPoly([r3.constant(2)]) * UniPoly([r3.constant(rat(1, 2)),
+                                                          r3.constant(3)]), sq)
+    assert len(calls) == 3
 
     def refuse(*args):
         raise AssertionError("series kernel called outside Q and one series ring")
@@ -363,10 +428,6 @@ def test_other_domains_keep_the_loop(monkeypatch):
     x1 = RatFun.from_poly(SparsePoly(1, {(1,): 1}))
     one = RatFun.from_const(1, 1)
     fa, fq = UniPoly([x1, one]), UniPoly([x1 * x1, x1, one])
-    assert upoly_mulmod(fa, fa, fq) == upoly_mod(fa * fa, fq)
-    r3, r4 = SeriesRing((0,), (0,), 3), SeriesRing((0,), (0,), 4)
-    sq = UniPoly([r3.constant(2), r3.constant(1)])
+    assert Residue(fq).mul(fa, fa) == upoly_mod(fa * fa, fq)
     with pytest.raises(ValueError, match="series ring mismatch"):
-        upoly_mulmod(UniPoly([r4.constant(3)]), sq, sq)
-    mixed = UniPoly([1, r3.constant(5)])
-    assert upoly_mulmod(mixed, mixed, sq) == upoly_mod(mixed * mixed, sq)
+        Residue(sq).mul(UniPoly([r4.constant(3)]), sq)

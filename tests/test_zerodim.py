@@ -4,7 +4,7 @@ from conftest import random_poly, run_guarded, threevar_fiber
 from sparseproj.mpoly import SparsePoly
 from sparseproj.polytope import Support, SupportFamily, mixed_volume
 from sparseproj.rat import rat
-from sparseproj.upoly import UniPoly, upoly_mod
+from sparseproj.upoly import Residue, UniPoly, upoly_mod
 from sparseproj.zerodim import (
     Composition,
     Draws,
@@ -56,7 +56,7 @@ def test_two_toric_roots():
 def test_membership_and_saturation_invariants():
     system = threevar_fiber()
     res = solve_toric_0d(system, (0, 1))
-    compose = Composition(res.params, res.q, 0, fraction_term(0))
+    compose = Composition(res.params, Residue(res.q), 0, fraction_term(0))
     for g in system:
         assert compose(g).is_zero()
     for v in res.dep_vars:
@@ -72,7 +72,6 @@ def test_three_variable_audit_stays_in_the_kernel(monkeypatch):
     # every product mod q of the audit over Q runs on integers, in the same
     # kernel as the lift's products over truncated series
     import sparseproj.upoly as upoly
-    import sparseproj.zerodim as zerodim
 
     calls = {"mulmod": 0, "kernel": 0}
 
@@ -87,7 +86,7 @@ def test_three_variable_audit_stays_in_the_kernel(monkeypatch):
               SparsePoly(3, {(0, 0, 2): 1, (1, 0, 1): 1, (0, 1, 0): -2})]
     res = solve_toric_0d(system, (1, 2, 3), check=False)
     assert res.q.degree() == 5
-    monkeypatch.setattr(zerodim, "upoly_mulmod", counting("mulmod", zerodim.upoly_mulmod))
+    monkeypatch.setattr(upoly.Residue, "mul", counting("mulmod", upoly.Residue.mul))
     monkeypatch.setattr(upoly, "series_mulmod", counting("kernel", upoly.series_mulmod))
     audit_0d(res, system)
     assert calls["mulmod"] > 0 and calls["kernel"] == calls["mulmod"]
