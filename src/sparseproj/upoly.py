@@ -237,8 +237,8 @@ def upoly_ext_inv(a: UniPoly, q: UniPoly) -> UniPoly:
         t0, t1 = t1, t0 - quo * t1
     if r0.degree() != 0:
         raise ZeroDivisionError("not invertible modulo q")
-    inv_lead = r0.coeffs[0]
-    return upoly_mod(t0.map_coeffs(lambda c: c / inv_lead), q)
+    # a rational 1, so that int coefficients of t0 do not divide to floats
+    return upoly_mod(t0.scale(RAT_ONE / r0.coeffs[0]), q)
 
 
 def upoly_coprime(a: UniPoly, b: UniPoly) -> bool:
